@@ -78,7 +78,8 @@ class TooFewObservations(VolnetError):
 
 
 class DidNotConvergeWarning(UserWarning):
-    """Coordinate descent hit max_iter; the last iterate is still returned."""
+    """The elastic-net solver hit max_iter iterations before its KKT
+    certificate held to tol; the last iterate is returned with converged=False."""
 
 
 # --- hybrid / evaluation ---

@@ -90,7 +90,8 @@ def build_forecast_report(label: str, panel: RvPanel, forecast: np.ndarray,
     per_asset = []
     for i in range(panel.n_assets):
         rmse, mae, mape = forecast_metrics(actual[:, i], forecast[:, i])
-        assert rmse >= mae - 1e-12 * (1.0 + mae), "RMSE below MAE: metric bug"
+        if rmse < mae - 1e-12 * (1.0 + mae):
+            raise RuntimeError(f"{panel.assets[i]}: RMSE {rmse!r} below MAE {mae!r}: metric bug")
         per_asset.append(AssetMetrics(rmse, mae, mape))
     return ForecastReport(
         label=label, assets=panel.assets, metrics=tuple(per_asset),

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volnet.elastic_net import (
+    DEFAULT_TOL,
     CvResult,
     PenaltySpec,
     cross_validate_lambda,
@@ -18,6 +23,8 @@ from volnet.errors import (
     NonFiniteInput,
     TooFewObservations,
 )
+from volnet.har import HarCoefficients, build_har_features, fit_har_ols
+from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
 
 from oracles import enet_objective, enet_projected_gradient
 
@@ -149,6 +156,9 @@ def test_non_finite_input_rejected():
     X[0, 0] = np.nan
     with pytest.raises(NonFiniteInput):
         fit_elastic_net(X, y, PenaltySpec(0.1))
+    X[0, 0] = 0.0
+    with pytest.raises(NonFiniteInput):
+        fit_elastic_net(X, y, PenaltySpec(0.1), warm_start=np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_warm_start_reaches_same_solution():
@@ -241,3 +251,99 @@ def test_cv_deterministic():
     b = cross_validate_lambda(X, y, grid)
     assert a.selected_lambda == b.selected_lambda
     np.testing.assert_array_equal(a.mean_val_mse, b.mean_val_mse)
+
+
+def _har_cross_blocks(n_days=2500, seed=5):
+    """(design, target) per asset: the other assets' HAR features against the
+    asset's own-HAR residual, as the hybrid estimator builds them."""
+    assets = ("ES", "NQ", "CL", "ZN", "ZC", "ZW")
+    own = (HarCoefficients(0.016, 0.35, 0.35, 0.20), HarCoefficients(0.020, 0.33, 0.37, 0.20),
+           HarCoefficients(0.030, 0.20, 0.10, 0.05), HarCoefficients(0.004, 0.30, 0.35, 0.25),
+           HarCoefficients(0.022, 0.32, 0.33, 0.25), HarCoefficients(0.028, 0.30, 0.35, 0.25))
+    sd = np.array([0.025, 0.030, 0.020, 0.008, 0.035, 0.040])
+    corr = np.eye(6)
+    for a, b, r in ((0, 1, 0.85), (0, 2, 0.2), (1, 2, 0.2), (0, 3, 0.2), (1, 3, 0.2),
+                    (2, 3, 0.1), (4, 5, 0.6)):
+        corr[a, b] = corr[b, a] = r
+    edges = (PlantedEdge("ES", "CL", "daily", 0.45), PlantedEdge("NQ", "CL", "weekly", 0.20),
+             PlantedEdge("ES", "ZN", "daily", 0.05))
+    panel = generate_synthetic_panel(SyntheticSpec(
+        assets=assets, length=n_days, own=own, cross=edges,
+        innovation_cov=corr * np.outer(sd, sd), seed=seed, floor=1e-3))
+    feats = [build_har_features(panel.values[:, i]) for i in range(len(assets))]
+    blocks = []
+    for i, f in enumerate(feats):
+        _, resid = fit_har_ols(f)
+        X = np.column_stack([np.column_stack([g.daily, g.weekly, g.monthly])
+                             for j, g in enumerate(feats) if j != i])
+        blocks.append((X, resid))
+    return blocks
+
+
+def test_warm_started_path_on_har_cross_blocks_is_kkt_certified():
+    # Daily/weekly/monthly lag means of one source are nearly collinear; a
+    # solver that stops on small steps instead of on the KKT conditions
+    # reports convergence short of the optimum on exactly these designs.
+    for X, y in _har_cross_blocks():
+        warm = None
+        for lam in default_lambda_grid(X, y, alpha=0.5, size=8):
+            pen = PenaltySpec(float(lam), 0.5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DidNotConvergeWarning)
+                fit = fit_elastic_net(X, y, pen, warm_start=warm)
+            assert fit.converged
+            assert kkt_violation(X, y, fit.coef, pen) <= DEFAULT_TOL
+            warm = fit.coef
+
+
+@st.composite
+def _enet_problems(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    M = draw(st.integers(8, 60))
+    P = draw(st.integers(1, 8))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((M, P)) * rng.uniform(0.1, 10.0, P)
+    y = X @ (rng.standard_normal(P) * (rng.random(P) < 0.6)) + rng.standard_normal(M)
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95))
+    if P > 1 and draw(st.booleans()):
+        X[:, 1] = X[:, 0]  # exact duplicate: singular Gram without a penalty
+        lam = 0.0
+    else:
+        lam = float(10.0 ** draw(st.floats(-4.0, 0.5))) * float(np.max(np.abs(X.T @ y))) / M
+    warm = None
+    if draw(st.booleans()):
+        warm = rng.standard_normal(P) * (rng.random(P) < 0.5) * 3.0
+    return X, y, PenaltySpec(lam, alpha), warm
+
+
+@settings(max_examples=100, deadline=None)
+@given(_enet_problems())
+def test_converged_fits_are_kkt_certified_and_match_oracle(problem):
+    X, y, pen, warm = problem
+    tol = 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DidNotConvergeWarning)
+        fit = fit_elastic_net(X, y, pen, tol=tol, warm_start=warm)
+    assert np.all(np.isfinite(fit.coef))
+    if not fit.converged:
+        return
+    assert kkt_violation(X, y, fit.coef, pen) <= tol
+    Xs = X / np.std(X, axis=0, ddof=1)
+    f_ref = enet_objective(Xs, y, enet_projected_gradient(Xs, y, pen.lam, pen.alpha),
+                           pen.lam, pen.alpha)
+    assert abs(fit.objective - f_ref) <= 1e-9 * abs(f_ref)
+
+
+def test_singular_active_gram_falls_back_to_least_squares(monkeypatch):
+    X, y = random_problem(53, M=40, P=4)
+    X[:, 1] = X[:, 0]
+    pen = PenaltySpec(0.0, 0.5)
+    ols, *_ = np.linalg.lstsq(X, y, rcond=None)
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    # both copies start active, so the first solve meets a singular Gram
+    fit = fit_elastic_net(X, y, pen, tol=1e-10, warm_start=np.array([0.7, 0.4, 0.0, 0.0]))
+    assert calls
+    assert fit.converged
+    np.testing.assert_allclose(X @ fit.coef, X @ ols, atol=1e-10)
+    assert kkt_violation(X, y, fit.coef, pen) <= 1e-10

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from volnet import evaluate
 from volnet.errors import (
     DegenerateSplit,
     HistoryTooShort,
@@ -160,3 +161,11 @@ def test_forecast_report_aggregates(two_asset_panel):
         assert (m.rmse, m.mae, m.mape) == want
     with pytest.raises(LengthMismatch):
         build_forecast_report("har", two_asset_panel, fc[:-1], t0)
+
+
+def test_report_rejects_rmse_below_mae(monkeypatch):
+    # an explicit check, so it still fires under `python -O`
+    panel = flat_panel(10)
+    monkeypatch.setattr(evaluate, "forecast_metrics", lambda actual, fc: (0.1, 0.2, 5.0))
+    with pytest.raises(RuntimeError, match="RMSE .* below MAE"):
+        evaluate.build_forecast_report("har", panel, np.full((5, 1), 0.2), 5)
