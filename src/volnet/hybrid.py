@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .elastic_net import (
     DEFAULT_MAX_ITER,
@@ -30,10 +31,11 @@ from .elastic_net import (
     default_lambda_grid,
     fit_elastic_net,
 )
-from .errors import HistoryTooShort
+from .errors import HistoryTooShort, InvalidConfig
 from .har import DEFAULT_LAGS, HarCoefficients, HarFeatures, fit_har_ols, lag_means
 from .rv import RvPanel
 
+MODEL_SCHEMA = "volnet-model-v1"
 FEATURE_ORDER_TAG = "source-major-dwm-v1"
 HORIZON_LABELS = ("daily", "weekly", "monthly")
 
@@ -82,25 +84,35 @@ class HybridModel:
         return dense
 
     @cached_property
-    def _own_beta(self) -> np.ndarray:
-        return np.array([[c.beta_d, c.beta_w, c.beta_m] for c in self.own])
-
-    @cached_property
-    def _intercepts(self) -> np.ndarray:
+    def intercepts(self) -> np.ndarray:
         return np.array([c.intercept for c in self.own])
 
-    def _features_now(self, tail: np.ndarray) -> np.ndarray:
+    @cached_property
+    def W(self) -> np.ndarray:
+        """K x (m*K) lag operator, m = max(lags); not serialized.
+
+        Column (m - p)*K + j holds the weight of asset j's value p days back,
+        sum over horizons h with p <= L_h of coef[i, j, h] / L_h, where coef is
+        dense_cross with the own betas on the diagonal. One step of the model
+        is then intercepts + W @ history[-m:].ravel().
+        """
+        K = self.n_assets
         m = max(self.lags)
-        return np.stack([tail[m - lag:].mean(axis=0) for lag in self.lags])  # 3 x K
+        coef = self.dense_cross.copy()
+        for i, c in enumerate(self.own):
+            coef[i, i] += (c.beta_d, c.beta_w, c.beta_m)
+        W = np.zeros((K, m, K))
+        for h, lag in enumerate(self.lags):
+            W[:, m - lag:, :] += (coef[:, :, h] / lag)[:, None, :]
+        return W.reshape(K, m * K)
 
     def predict_one_step(self, history: np.ndarray) -> np.ndarray:
+        """Next-day RV vector from the last max(lags) rows of a T x K history."""
         history = np.asarray(history, dtype=float)
         m = max(self.lags)
         if history.ndim != 2 or history.shape[0] < m or history.shape[1] != self.n_assets:
             raise HistoryTooShort(f"need >= {m} rows x {self.n_assets} assets")
-        A = self._features_now(history[-m:])
-        own = self._intercepts + np.einsum("ih,hi->i", self._own_beta, A)
-        return own + np.einsum("ijh,hj->i", self.dense_cross, A)
+        return self.intercepts + self.W @ history[-m:].ravel()
 
 
 def _panel_features(panel: RvPanel, lags: Sequence[int]) -> np.ndarray:
@@ -164,11 +176,11 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
 def residual_covariance(model: HybridModel, rv: RvPanel) -> np.ndarray:
     """Sample covariance (M-1 denominator) of in-sample one-step residuals."""
     m = max(model.lags)
-    feats = _panel_features(rv, model.lags)
-    own = model._intercepts + np.einsum("ih,tih->ti", model._own_beta, feats)
-    pred = own + np.einsum("ijh,tjh->ti", model.dense_cross, feats)
+    K = model.n_assets
+    windows = sliding_window_view(rv.values, m, axis=0)[:-1]  # M x K x m
+    pred = model.intercepts + windows.transpose(0, 2, 1).reshape(-1, m * K) @ model.W.T
     resid = rv.values[m:] - pred
-    cov = np.cov(resid, rowvar=False, ddof=1).reshape(model.n_assets, model.n_assets)
+    cov = np.cov(resid, rowvar=False, ddof=1).reshape(K, K)
     return 0.5 * (cov + cov.T)
 
 
@@ -215,7 +227,7 @@ def spillover_network(model: HybridModel) -> NetworkSummary:
 
 def model_to_dict(model: HybridModel) -> dict:
     return {
-        "schema": "volnet-model-v1",
+        "schema": MODEL_SCHEMA,
         "feature_order": FEATURE_ORDER_TAG,
         "assets": list(model.assets),
         "lags": list(model.lags),
@@ -232,28 +244,59 @@ def model_to_dict(model: HybridModel) -> dict:
     }
 
 
+def _finite_array(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"model {name} is not numeric") from None
+    if a.shape != shape:
+        raise InvalidConfig(f"model {name} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidConfig(f"model {name} has non-finite entries")
+    return a
+
+
 def model_from_dict(d: dict) -> HybridModel:
+    """Rebuild a model from model_to_dict output, checking every shape it relies on."""
+    if d.get("schema") != MODEL_SCHEMA:
+        raise InvalidConfig(f"unsupported model schema {d.get('schema')!r}")
     if d.get("feature_order") != FEATURE_ORDER_TAG:
         raise ValueError(f"unsupported feature ordering {d.get('feature_order')!r}")
     assets = tuple(d["assets"])
     K = len(assets)
-    dense = np.asarray(d["cross"], dtype=float).reshape(K, K, 3)
+    lags = d["lags"]
+    if (not isinstance(lags, (list, tuple)) or len(lags) != 3
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in lags)
+            or not 0 < lags[0] < lags[1] < lags[2]):
+        raise InvalidConfig(f"model lags must be three positive ascending integers, got {lags}")
+    m = lags[2]
+    if len(d["own"]) != K or not all(isinstance(o, dict) for o in d["own"]):
+        raise InvalidConfig(f"model own must hold one coefficient object per asset ({K})")
+    own = _finite_array([[o["intercept"], o["beta_d"], o["beta_w"], o["beta_m"]]
+                         for o in d["own"]], "own", (K, 4))
+    dense = _finite_array(d["cross"], "cross", (K, K, 3))
+    if np.any(dense[np.arange(K), np.arange(K)] != 0.0):
+        raise InvalidConfig("model cross has nonzero self entries")
+    cov = _finite_array(d["residual_cov"], "residual_cov", (K, K))
+    if not np.array_equal(cov, cov.T) or np.any(np.diag(cov) < 0.0):
+        raise InvalidConfig("model residual_cov must be symmetric with a nonnegative diagonal")
+    seed_tail = None
+    if d.get("seed_tail") is not None:
+        seed_tail = _finite_array(d["seed_tail"], "seed_tail", (m, K))
     cross = np.zeros((K, max(K - 1, 0), 3))
     for i in range(K):
         for s, j in enumerate(j for j in range(K) if j != i):
             cross[i, s] = dense[i, j]
     return HybridModel(
         assets=assets,
-        own=tuple(HarCoefficients(o["intercept"], o["beta_d"], o["beta_w"], o["beta_m"])
-                  for o in d["own"]),
+        own=tuple(HarCoefficients(*map(float, row)) for row in own),
         cross=cross,
-        selected_lambda=np.asarray(d["selected_lambda"], dtype=float),
-        residual_cov=np.asarray(d["residual_cov"], dtype=float).reshape(K, K),
-        lags=tuple(d["lags"]),
+        selected_lambda=_finite_array(d["selected_lambda"], "selected_lambda", (K,)),
+        residual_cov=cov,
+        lags=tuple(lags),
         alpha=float(d["alpha"]),
         sample_start=dt.date.fromisoformat(d["sample_start"]) if d["sample_start"] else None,
         sample_end=dt.date.fromisoformat(d["sample_end"]) if d["sample_end"] else None,
         n_obs=int(d["n_obs"]),
-        seed_tail=(np.asarray(d["seed_tail"], dtype=float)
-                   if d.get("seed_tail") is not None else None),
+        seed_tail=seed_tail,
     )

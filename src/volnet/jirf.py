@@ -4,8 +4,10 @@ A shock pins every member of a group at one own standard deviation
 (sqrt of its residual variance) while non-members receive their conditional
 mean given the pinned members, computed from the residual covariance. The
 response path is the difference between a shocked and a baseline simulation
-run forward with zero innovations; because the fitted system is linear in its
-features, the difference does not depend on the seed history.
+run forward with zero innovations. Both paths advance together in one matrix
+recursion: each horizon is a single product of the model's lag operator
+(HybridModel.W) with the last max(lags) rows of the two paths. Because the
+fitted system is linear, the difference does not depend on the seed history.
 
 No Cholesky ordering is involved, and simulated levels are never clamped
 inside the response computation (clamping would break linearity).
@@ -92,7 +94,10 @@ def simulate_jirf(model: HybridModel, shock: np.ndarray, horizon: int = DEFAULT_
     """Response paths over horizons 0..horizon for a given impact-day shock.
 
     Runs baseline and shocked paths from the same seed history with zero
-    innovations; the shock is added to the simulated RV vector at horizon 0.
+    innovations, as the two columns of one (m + horizon + 1) x K x 2 array
+    advanced by one lag-operator product per horizon; the shock is added to
+    the shocked path's RV vector at horizon 0. A non-finite level raises
+    NonFiniteSimulation naming the first horizon where one appears.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -109,24 +114,22 @@ def simulate_jirf(model: HybridModel, shock: np.ndarray, horizon: int = DEFAULT_
         seed_history = np.zeros((m, K))
     seed_history = np.asarray(seed_history, dtype=float)[-m:]
 
-    base = np.empty((m + horizon + 1, K))
-    shocked = np.empty_like(base)
-    base[:m] = seed_history
-    shocked[:m] = seed_history
-    responses = np.empty((horizon + 1, K))
-    for h in range(horizon + 1):
-        t = m + h
-        b = model.predict_one_step(base[t - m:t])
-        s = model.predict_one_step(shocked[t - m:t])
-        if h == 0:
-            s = s + shock
-            responses[0] = shock
-        else:
-            responses[h] = s - b
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
-            raise NonFiniteSimulation(f"non-finite simulated value at horizon {h}")
-        base[t] = b
-        shocked[t] = s
+    # levels[:, :, 0] is the baseline path, levels[:, :, 1] the shocked one
+    levels = np.empty((m + horizon + 1, K, 2))
+    levels[:m] = seed_history[:, :, None]
+    c = model.intercepts[:, None]
+    W = model.W
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(m, m + horizon + 1):
+            levels[t] = c + W @ levels[t - m:t].reshape(m * K, 2)
+            if t == m:
+                levels[m, :, 1] += shock
+        bad = ~np.isfinite(levels[m:]).all(axis=(1, 2))
+        if bad.any():
+            raise NonFiniteSimulation(
+                f"non-finite simulated value at horizon {int(np.argmax(bad))}")
+    responses = levels[m:, :, 1] - levels[m:, :, 0]
+    responses[0] = shock
     return JirfPath(label, responses)
 
 

@@ -89,6 +89,38 @@ def har_features_naive(values: np.ndarray, lags=(1, 5, 22)) -> dict:
             **{f"lag{lag}": np.array(cols[lag]) for lag in lags}}
 
 
+def hybrid_step_per_lag_means(intercepts: np.ndarray, coef: np.ndarray, lags,
+                              history: np.ndarray) -> np.ndarray:
+    """One model step from the three trailing lag means of each asset.
+
+    coef is K x K x 3 with the own betas on the diagonal; this is the feature
+    form of the step, against which the library's lag operator is checked.
+    """
+    feats = np.stack([history[-lag:].mean(axis=0) for lag in lags])  # 3 x K
+    return intercepts + np.einsum("ijh,hj->i", coef, feats)
+
+
+def jirf_deviation_naive(coef: np.ndarray, lags, shock: np.ndarray,
+                         horizon: int) -> np.ndarray:
+    """(H+1) x K deviation path of the linear system after an impact-day shock.
+
+    Plain triple loop over targets, sources and lag horizons on a zero
+    history; coef is K x K x 3 with the own betas on the diagonal.
+    """
+    K = len(shock)
+    m = max(lags)
+    path = np.zeros((m + horizon + 1, K))
+    path[m] = shock
+    for t in range(m + 1, m + horizon + 1):
+        for i in range(K):
+            total = 0.0
+            for j in range(K):
+                for h, lag in enumerate(lags):
+                    total += coef[i, j, h] * sum(path[t - lag:t, j]) / lag
+            path[t, i] = total
+    return path[m:]
+
+
 def gbm_ohlc_arrays(n_days: int, sigma_annual: float, seed: int,
                     s0: float = 100.0, n_intraday: int = 78,
                     overnight_frac: float = 0.2):

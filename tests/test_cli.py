@@ -258,6 +258,48 @@ def test_malformed_model_json(workdir, tmp_path, capsys):
     assert "volnet: code=JSONDecodeError" in capsys.readouterr().err
 
 
+def _set(key, index, value):
+    def corrupt(d):
+        target = d[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+    return corrupt
+
+
+MODEL_DEFECTS = {
+    "wrong_schema": lambda d: d.update(schema="volnet-model-v0"),
+    "no_schema": lambda d: d.pop("schema"),
+    "own_too_short": lambda d: d.update(own=d["own"][:1]),
+    "own_entry_not_object": _set("own", (0,), [0.01, 0.4, 0.3, 0.2]),
+    "two_lags": lambda d: d.update(lags=[1, 5]),
+    "lags_descending": lambda d: d.update(lags=[22, 5, 1]),
+    "lag_zero": lambda d: d.update(lags=[0, 5, 22]),
+    "lag_not_integer": lambda d: d.update(lags=[1, 5.5, 22]),
+    "cross_wrong_shape": lambda d: d.update(cross=d["cross"][:1]),
+    "cross_self_entry": _set("cross", (1, 1, 0), 0.1),
+    "cross_not_finite": _set("cross", (0, 1, 2), float("inf")),
+    "lambda_too_short": lambda d: d.update(selected_lambda=d["selected_lambda"][:1]),
+    "cov_wrong_shape": lambda d: d.update(residual_cov=d["residual_cov"][:1]),
+    "cov_not_finite": _set("residual_cov", (0, 0), float("nan")),
+    "cov_asymmetric": _set("residual_cov", (0, 1), 1.0),
+    "cov_negative_variance": _set("residual_cov", (1, 1), -1e-4),
+    "seed_tail_short": lambda d: d.update(seed_tail=d["seed_tail"][1:]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+def test_invalid_model_json_rejected(workdir, tmp_path, capsys, defect):
+    payload = json.loads(workdir["model"].read_text())
+    MODEL_DEFECTS[defect](payload)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["jirf", "--model", str(bad), "--groups", str(workdir["groups"]),
+                 "--out", str(tmp_path / "j.csv")]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not (tmp_path / "j.csv").exists()
+
+
 def test_groups_must_be_a_mapping(workdir, tmp_path, capsys):
     bad = tmp_path / "groups.json"
     bad.write_text(json.dumps(["A", "B"]))

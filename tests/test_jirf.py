@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from volnet.errors import ExplosiveModel, SingularSubmatrix
+from volnet.errors import ExplosiveModel, NonFiniteSimulation, SingularSubmatrix
 from volnet.har import HarCoefficients
 from volnet.hybrid import HybridModel
 from volnet.jirf import (
@@ -12,6 +16,8 @@ from volnet.jirf import (
     joint_shock,
     simulate_jirf,
 )
+
+from oracles import hybrid_step_per_lag_means, jirf_deviation_naive
 
 ASSETS = ("A", "B", "C")
 
@@ -199,3 +205,51 @@ def test_shock_vector_validation():
 def test_jirf_path_is_plain_data():
     path = JirfPath("g", np.zeros((4, 2)))
     assert path.horizons == 3
+
+
+def test_non_finite_level_names_first_horizon():
+    cross = np.zeros((2, 1, 3))
+    cross[0, 0, 0] = 1e300  # B -> A daily: A overflows one step after the shock
+    model = make_model(cross=cross, assets=("A", "B"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning must not leak
+        with pytest.raises(NonFiniteSimulation, match="horizon 1"):
+            simulate_jirf(model, np.array([0.0, 1e10]), horizon=5)
+
+
+@st.composite
+def _stable_models(draw):
+    """Random HAR systems whose absolute coefficient row sums stay below 0.95."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = draw(st.integers(1, 6))
+    lags = draw(st.sampled_from([(1, 2, 3), (1, 5, 22)]))
+    phi = rng.uniform(0.3, 0.65, K)
+    betas = phi[:, None] * rng.dirichlet(np.ones(3), K)
+    own = tuple(HarCoefficients(float(c), *map(float, b))
+                for c, b in zip(rng.uniform(0.005, 0.05, K), betas))
+    cross = rng.uniform(-1.0, 1.0, (K, K - 1, 3)) * (rng.random((K, K - 1, 3)) < 0.5)
+    row_abs = np.abs(cross).sum(axis=(1, 2))
+    cross *= (rng.uniform(0.0, 0.45, K) * phi / np.where(row_abs > 0, row_abs, 1.0))[:, None, None]
+    model = make_model(cross=cross, own=own, assets=tuple(f"X{i}" for i in range(K)),
+                       lags=lags)
+    coef = model.dense_cross.copy()
+    coef[np.arange(K), np.arange(K)] = betas
+    history = rng.uniform(0.5, 1.0, (max(lags) + draw(st.integers(0, 5)), K))
+    return model, coef, history, rng.standard_normal(K) * 0.05
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stable_models(), st.integers(0, 40))
+def test_simulation_matches_deviation_recursion(case, horizon):
+    model, coef, history, shock = case
+    got = simulate_jirf(model, shock, horizon, seed_history=history).responses
+    want = jirf_deviation_naive(coef, model.lags, shock, horizon)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stable_models())
+def test_lag_operator_step_matches_per_lag_means(case):
+    model, coef, history, _ = case
+    want = hybrid_step_per_lag_means(model.intercepts, coef, model.lags, history)
+    assert model.predict_one_step(history) == pytest.approx(want, rel=1e-12)
