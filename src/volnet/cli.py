@@ -10,6 +10,7 @@ formatting uses the shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -68,6 +69,15 @@ def _load_groups(path: str) -> list[jirf.ShockGroup]:
 
 def _run_config(args) -> RunConfig:
     return load_config(args.config) if getattr(args, "config", None) else RunConfig()
+
+
+def _with_flags(cfg: RunConfig, **flags) -> RunConfig:
+    """cfg with each flag that was given in place of its setting.
+
+    A setting resolves as flag > config file > default; flags default to None
+    so an absent flag leaves the config file's value in place.
+    """
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _n_jobs() -> int:
@@ -171,19 +181,19 @@ def cmd_jirf(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    cfg = _run_config(args)
+    cfg = _with_flags(_run_config(args), block_length=args.block, replications=args.reps,
+                      ci_level=args.ci, seed=args.seed)
     panel = rv.read_rv_csv(args.rv)
     model = _load_model(args.model)
     groups = _load_groups(args.groups)
-    bcfg = boot.BootstrapConfig(block_length=args.block, replications=args.reps,
-                                ci_level=args.ci, seed=args.seed, n_jobs=_n_jobs())
+    bcfg = cfg.bootstrap_config(n_jobs=_n_jobs())
     fit_cfg = FitConfig(alpha=model.alpha, lags=model.lags)
     band = boot.bootstrap_jirf(panel, fit_cfg, model.selected_lambda, groups, bcfg,
                                horizon=args.horizon,
                                condition_complement=cfg.condition_complement,
                                point_model=model)
-    h = config_hash({"cmd": "bootstrap", "block": args.block, "reps": args.reps,
-                     "ci": args.ci, "seed": args.seed, "horizon": args.horizon,
+    h = config_hash({"cmd": "bootstrap", "block": bcfg.block_length, "reps": bcfg.replications,
+                     "ci": bcfg.ci_level, "seed": bcfg.seed, "horizon": args.horizon,
                      "condition_complement": cfg.condition_complement,
                      "groups": {g.name: list(g.members) for g in groups},
                      "assets": list(panel.assets)})
@@ -333,10 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rv", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--groups", required=True)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--block", type=int, default=50)
-    p.add_argument("--ci", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
+    # default None: an absent flag takes the config file's value, else its default
+    p.add_argument("--reps", type=int, help="default: config bootstrap.replications, 1000")
+    p.add_argument("--block", type=int, help="default: config bootstrap.block_length, 50")
+    p.add_argument("--ci", type=float, help="default: config bootstrap.ci_level, 0.95")
+    p.add_argument("--seed", type=int, help="default: config seed, 0")
     p.add_argument("--horizon", type=int, default=jirf.DEFAULT_HORIZON)
     p.add_argument("--config")
     p.add_argument("--out", required=True)

@@ -86,7 +86,15 @@ def soft_threshold(z: float, t: float) -> float:
 
 
 def _column_scales(X: np.ndarray) -> np.ndarray:
-    s = np.std(X, axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
+    """Sample standard deviation of each column; 1 where it is 0 or not finite.
+
+    Each column is reduced along its own contiguous copy, so its scale has
+    the same bits whichever other columns share the array.
+    """
+    if X.shape[0] > 1:
+        s = np.std(np.ascontiguousarray(X.T), axis=1, ddof=1)
+    else:
+        s = np.zeros(X.shape[1])
     return np.where(np.isfinite(s) & (s > 0), s, 1.0)
 
 
@@ -104,7 +112,9 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, pen: PenaltySpec,
     feature-sign step. `n_sweeps` counts iterations: the active-set solves plus
     the check that certifies the result. Hitting max_iter is a soft failure: a
     DidNotConvergeWarning is issued and the last iterate is returned with
-    converged=False.
+    converged=False. With standardize=False, X is fitted as given, without a
+    copy, and coefficients and warm start are in X's units; callers that fit
+    one design many times scale it once and pass it this way.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -117,7 +127,7 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, pen: PenaltySpec,
         return ElasticNetFit(np.empty(0), 0, True, float(y @ y) / M)
 
     scale = _column_scales(X) if standardize else np.ones(P)
-    Xs = X / scale
+    Xs = X / scale if standardize else X
 
     q = (2.0 / M) * (Xs.T @ y)
     H = (2.0 / M) * (Xs.T @ Xs) + pen.lam * (1.0 - pen.alpha) * np.eye(P)  # G + ridge
@@ -244,7 +254,8 @@ def cross_validate_lambda(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
 
     Selection applies the one-standard-error rule in the sparse direction:
     among lam whose mean validation MSE is within one SE of the minimum, the
-    LARGEST lam wins. Column scaling inside each fit sees training rows only.
+    LARGEST lam wins. Each fold scales its columns by the standard deviations
+    of its training rows only, once, and fits every lam on that scaled design.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,15 +275,19 @@ def cross_validate_lambda(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
     order = np.argsort(grid)[::-1]  # descending: warm starts shrink toward OLS
     fold_mse = np.empty((n_folds - 1, grid.size))
     for f, k in enumerate(range(1, n_folds)):
-        train = np.arange(blocks[k][0])
-        val = blocks[k]
-        warm = None
+        n_train = blocks[k][0]
+        val = slice(n_train, blocks[k][-1] + 1)
+        scale = _column_scales(X[:n_train])
+        X_train = X[:n_train] / scale
+        X_val = X[val] / scale
+        warm = None  # coefficients in scaled units
         for gi in order:
-            fit = fit_elastic_net(X[train], y[train], PenaltySpec(grid[gi], alpha),
-                                  tol=tol, max_iter=max_iter, warm_start=warm)
+            fit = fit_elastic_net(X_train, y[:n_train], PenaltySpec(grid[gi], alpha),
+                                  tol=tol, max_iter=max_iter, standardize=False,
+                                  warm_start=warm)
             warm = fit.coef
-            err = y[val] - X[val] @ fit.coef
-            fold_mse[f, gi] = float(err @ err) / len(val)
+            err = y[val] - X_val @ fit.coef
+            fold_mse[f, gi] = float(err @ err) / len(err)
 
     mean_mse = fold_mse.mean(axis=0)
     best = int(np.argmin(mean_mse))

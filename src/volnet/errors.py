@@ -57,6 +57,13 @@ class SeriesTooShort(VolnetError):
     pass
 
 
+class DatesNotIncreasing(VolnetError):
+    def __init__(self, line_number: int, date, previous):
+        self.line_number = line_number
+        self.date = date
+        super().__init__(f"line {line_number}: date {date} does not follow {previous}")
+
+
 # --- har ---
 
 class RankDeficientDesign(VolnetError):

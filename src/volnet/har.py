@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HistoryTooShort, RankDeficientDesign, SeriesTooShort
 from .rv import RvPanel, RvSeries
@@ -59,12 +58,27 @@ def persistence(c: HarCoefficients) -> float:
 def lag_means(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS) -> np.ndarray:
     """Trailing lag averages. Row t holds, per lag L, mean(values[t-L..t-1]).
 
-    Output has len(values) - max(lags) rows aligned to values[max(lags):].
+    `values` is a length-N series or an N x K panel; the output has
+    N - max(lags) rows aligned to values[max(lags):] and one entry per lag on
+    its last axis, shaped (rows, len(lags)) for a series and
+    (rows, K, len(lags)) for a panel. The sums are built from shifted
+    slices, newest day first: lag 1 is the value itself, and each longer lag
+    extends the running sum of the shorter one. Every row sees the same
+    sequence of operations, so a series' features do not depend on where it
+    starts, and a panel column gets the same bits as the column alone.
     """
     values = np.asarray(values, dtype=float)
     m = max(lags)
-    windows = sliding_window_view(values, m)[: len(values) - m]
-    return np.column_stack([windows[:, m - lag:].mean(axis=1) for lag in lags])
+    n = len(values) - m
+    out = np.empty((n,) + values.shape[1:] + (len(lags),))
+    total = np.zeros((n,) + values.shape[1:])
+    summed = 0  # days already in the running sum
+    for h in np.argsort(lags, kind="stable"):
+        for p in range(summed, lags[h]):  # add the value p + 1 days back
+            total += values[m - 1 - p: m - 1 - p + n]
+        summed = lags[h]
+        out[..., h] = total / lags[h]
+    return out
 
 
 def build_har_features(rv: RvSeries | np.ndarray,

@@ -27,6 +27,7 @@ from .elastic_net import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PenaltySpec,
+    _column_scales,
     cross_validate_lambda,
     default_lambda_grid,
     fit_elastic_net,
@@ -115,12 +116,6 @@ class HybridModel:
         return self.intercepts + self.W @ history[-m:].ravel()
 
 
-def _panel_features(panel: RvPanel, lags: Sequence[int]) -> np.ndarray:
-    """M x K x 3 trailing-average features, aligned to panel rows max(lags)..N-1."""
-    return np.stack([lag_means(panel.values[:, i], lags) for i in range(panel.n_assets)],
-                    axis=1)
-
-
 def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
                fixed_lambdas: Sequence[float] | None = None) -> HybridModel:
     """Fit the two-step model on a full panel.
@@ -128,12 +123,21 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     With fixed_lambdas given (one per asset) the cross-validation stage is
     skipped; the bootstrap relies on this to hold regularization constant
     across replicates.
+
+    The lag features of the whole panel form one M x 3K design F (source-major,
+    daily/weekly/monthly), built, scaled and divided once. Asset i's cross
+    design is F without its own three columns, a contiguous copy of the
+    scaled F that the elastic net fits as it stands; its coefficients are
+    mapped back to the original feature scale here.
     """
     K = rv.n_assets
     m = max(cfg.lags)
-    feats = _panel_features(rv, cfg.lags)
+    feats = lag_means(rv.values, cfg.lags)  # M x K x 3
     targets = rv.values[m:]
     M = targets.shape[0]
+    F = feats.reshape(M, 3 * K)
+    scale = _column_scales(F)
+    Fs = F / scale
 
     own: list[HarCoefficients] = []
     cross = np.zeros((K, max(K - 1, 0), 3))
@@ -146,22 +150,22 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
         if K == 1:
             xi[:, i] = resid
             continue
-        sources = [j for j in range(K) if j != i]
-        X_cross = feats[:, sources, :].reshape(M, 3 * (K - 1))
+        own_cols = slice(3 * i, 3 * i + 3)
+        Xs = np.delete(Fs, own_cols, axis=1)  # C-contiguous, like a standalone design
         if fixed_lambdas is not None:
             lam = float(fixed_lambdas[i])
         else:
             grid = (np.asarray(cfg.lambda_grid, dtype=float) if cfg.lambda_grid is not None
-                    else default_lambda_grid(X_cross, resid, cfg.alpha,
-                                             cfg.grid_size, cfg.grid_ratio))
-            cv = cross_validate_lambda(X_cross, resid, grid, cfg.alpha, cfg.cv_folds,
-                                       cfg.tol, cfg.max_iter)
+                    else default_lambda_grid(Xs, resid, cfg.alpha, cfg.grid_size,
+                                             cfg.grid_ratio, standardize=False))
+            cv = cross_validate_lambda(np.delete(F, own_cols, axis=1), resid, grid,
+                                       cfg.alpha, cfg.cv_folds, cfg.tol, cfg.max_iter)
             lam = cv.selected_lambda
         lambdas[i] = lam
-        fit = fit_elastic_net(X_cross, resid, PenaltySpec(lam, cfg.alpha),
-                              tol=cfg.tol, max_iter=cfg.max_iter)
-        cross[i] = fit.coef.reshape(K - 1, 3)
-        xi[:, i] = resid - X_cross @ fit.coef
+        fit = fit_elastic_net(Xs, resid, PenaltySpec(lam, cfg.alpha),
+                              tol=cfg.tol, max_iter=cfg.max_iter, standardize=False)
+        cross[i] = (fit.coef / np.delete(scale, own_cols)).reshape(K - 1, 3)
+        xi[:, i] = resid - Xs @ fit.coef
 
     cov = np.cov(xi, rowvar=False, ddof=1).reshape(K, K)
     cov = 0.5 * (cov + cov.T)
@@ -261,7 +265,7 @@ def model_from_dict(d: dict) -> HybridModel:
     if d.get("schema") != MODEL_SCHEMA:
         raise InvalidConfig(f"unsupported model schema {d.get('schema')!r}")
     if d.get("feature_order") != FEATURE_ORDER_TAG:
-        raise ValueError(f"unsupported feature ordering {d.get('feature_order')!r}")
+        raise InvalidConfig(f"unsupported feature ordering {d.get('feature_order')!r}")
     assets = tuple(d["assets"])
     K = len(assets)
     lags = d["lags"]

@@ -11,8 +11,9 @@ series produce no output.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
+import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +21,13 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SeriesTooShort, WindowTooSmall
+from .errors import (
+    DatesNotIncreasing,
+    MissingColumn,
+    SeriesTooShort,
+    UnparseableRow,
+    WindowTooSmall,
+)
 from .ingest import OhlcBar, OhlcPanel, OhlcSeries
 
 
@@ -125,11 +132,70 @@ def write_rv_csv(panel: RvPanel, path: str | Path,
 
 
 def read_rv_csv(path: str | Path) -> RvPanel:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise SeriesTooShort("empty RV file")
-    assets = tuple(rows[0][1:])
-    dates = tuple(dt.date.fromisoformat(r[0]) for r in rows[1:])
-    values = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=float)
+    """Read an RV panel CSV, validating it where it enters.
+
+    Blank lines and lines starting with `#` are skipped. The first other line
+    is the header: `date`, then one column per asset. Each later line holds an
+    ISO date and one finite number per asset, and the dates strictly
+    increase. The numbers are parsed as one block by np.loadtxt. A defect
+    raises MissingColumn (no header, no asset column), SeriesTooShort (no
+    data row), UnparseableRow (a ragged row, a bad date, a non-numeric or
+    non-finite value) or DatesNotIncreasing, naming the line of the file.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    kept = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    if not kept:
+        raise MissingColumn("RV file has no header row")
+    header = lines[kept[0]].split(",")
+    if header[0].strip().lower() != "date":
+        raise MissingColumn(f"line {kept[0] + 1}: RV header must start with 'date', "
+                            f"got {header[0]!r}")
+    assets = tuple(header[1:])
+    if not assets:
+        raise MissingColumn(f"line {kept[0] + 1}: RV header names no asset column")
+    body = kept[1:]
+    if not body:
+        raise SeriesTooShort("RV file has no data rows")
+    K = len(assets)
+    heads, tails = zip(*(lines[i].partition(",")[::2] for i in body))
+
+    values = _parse_values(tails, K)
+    if values is None:
+        k = next(k for k, tail in enumerate(tails) if _parse_values([tail], K) is None)
+        row = lines[body[k]]
+        n_fields = len(row.split(","))
+        raise UnparseableRow(body[k] + 1, f"{n_fields} fields, expected {K + 1}"
+                             if n_fields != K + 1 else f"non-numeric value in {row!r}")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise UnparseableRow(body[int(np.argmin(finite))] + 1, "non-finite value")
+    try:
+        dates = tuple(map(dt.date.fromisoformat, heads))
+    except ValueError:
+        k = next(k for k, head in enumerate(heads) if not _is_iso_date(head))
+        raise UnparseableRow(body[k] + 1, f"bad date {heads[k]!r}") from None
+    if not all(map(operator.lt, dates, dates[1:])):
+        k = next(k for k in range(1, len(dates)) if dates[k] <= dates[k - 1])
+        raise DatesNotIncreasing(body[k] + 1, dates[k], dates[k - 1])
     return RvPanel(dates, assets, values)
+
+
+def _parse_values(rows: Sequence[str], n_columns: int) -> np.ndarray | None:
+    """rows as a len(rows) x n_columns float array; None if any row is not
+    n_columns numbers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on input of blank rows only
+        try:
+            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return values if values.shape == (len(rows), n_columns) else None
+
+
+def _is_iso_date(text: str) -> bool:
+    try:
+        dt.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True

@@ -8,6 +8,8 @@ hand on a sorted copy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -87,6 +89,17 @@ def har_features_naive(values: np.ndarray, lags=(1, 5, 22)) -> dict:
             cols[lag].append(np.mean(values[t - lag:t]))
     return {"target": np.array(target),
             **{f"lag{lag}": np.array(cols[lag]) for lag in lags}}
+
+
+def lag_means_naive(values: np.ndarray, lags=(1, 5, 22)) -> np.ndarray:
+    """Loop-built trailing means, each window summed exactly by math.fsum.
+
+    Row t - max(lags), column h holds mean(values[t - lags[h] .. t-1]),
+    correctly rounded; the library sums in running order instead.
+    """
+    m = max(lags)
+    return np.array([[math.fsum(values[t - lag:t]) / lag for lag in lags]
+                     for t in range(m, len(values))]).reshape(-1, len(lags))
 
 
 def hybrid_step_per_lag_means(intercepts: np.ndarray, coef: np.ndarray, lags,

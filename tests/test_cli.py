@@ -9,6 +9,7 @@ import pytest
 
 from volnet import rv
 from volnet.cli import main
+from volnet.config import config_hash
 from volnet.har import HarCoefficients
 from volnet.ingest import load_ohlc_csv
 from volnet.synthetic import PlantedEdge, SyntheticSpec, spec_to_dict
@@ -285,6 +286,7 @@ MODEL_DEFECTS = {
     "cov_asymmetric": _set("residual_cov", (0, 1), 1.0),
     "cov_negative_variance": _set("residual_cov", (1, 1), -1e-4),
     "seed_tail_short": lambda d: d.update(seed_tail=d["seed_tail"][1:]),
+    "feature_order_unknown": lambda d: d.update(feature_order="x"),
 }
 
 
@@ -298,6 +300,51 @@ def test_invalid_model_json_rejected(workdir, tmp_path, capsys, defect):
                  "--out", str(tmp_path / "j.csv")]) == 1
     assert "volnet: code=InvalidConfig" in capsys.readouterr().err
     assert not (tmp_path / "j.csv").exists()
+
+
+def _bootstrap_bytes(workdir, out: Path, *extra: str) -> bytes:
+    assert main(["bootstrap", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
+                 "--groups", str(workdir["groups"]), "--horizon", "4", "--out", str(out),
+                 *extra]) == 0
+    return out.read_bytes()
+
+
+def test_bootstrap_takes_its_settings_from_the_config(workdir, tmp_path):
+    cfg = tmp_path / "boot.json"
+    cfg.write_text(json.dumps({"seed": 3, "bootstrap": {"block_length": 10,
+                                                        "replications": 5,
+                                                        "ci_level": 0.9}}))
+    from_config = _bootstrap_bytes(workdir, tmp_path / "a.csv", "--config", str(cfg))
+    from_flags = _bootstrap_bytes(workdir, tmp_path / "b.csv", "--block", "10",
+                                  "--reps", "5", "--ci", "0.9", "--seed", "3")
+    assert from_config == from_flags
+    assert "replicates=5" in from_config.decode()
+
+
+def test_bootstrap_flags_override_the_config(workdir, tmp_path):
+    cfg = tmp_path / "boot.json"
+    cfg.write_text(json.dumps({"seed": 1, "bootstrap": {"block_length": 10,
+                                                        "replications": 4}}))
+    flags = ("--block", "50", "--reps", "5", "--seed", "3")
+    both = _bootstrap_bytes(workdir, tmp_path / "a.csv", "--config", str(cfg), *flags)
+    assert both == _bootstrap_bytes(workdir, tmp_path / "b.csv", *flags)
+    only_block = _bootstrap_bytes(workdir, tmp_path / "c.csv", "--config", str(cfg),
+                                  "--block", "50")
+    assert "replicates=4" in only_block.decode()
+    assert only_block != both
+
+
+def test_bootstrap_with_every_flag_keeps_its_bytes(workdir, tmp_path):
+    # the fixture's run gave every bootstrap flag but --ci, whose default is 0.95
+    out = _bootstrap_bytes(workdir, tmp_path / "a.csv", "--reps", "5", "--block", "50",
+                           "--seed", "3", "--ci", "0.95")
+    assert out == workdir["boot"].read_bytes()
+    payload = json.loads(workdir["model"].read_text())
+    groups = json.loads(workdir["groups"].read_text())
+    want = config_hash({"cmd": "bootstrap", "block": 50, "reps": 5, "ci": 0.95, "seed": 3,
+                        "horizon": 4, "condition_complement": True, "groups": groups,
+                        "assets": payload["assets"]})
+    assert comment_lines(tmp_path / "a.csv")[0] == f"# config={want}"
 
 
 def test_groups_must_be_a_mapping(workdir, tmp_path, capsys):

@@ -9,6 +9,7 @@ from volnet.elastic_net import (
     DEFAULT_TOL,
     CvResult,
     PenaltySpec,
+    _column_scales,
     cross_validate_lambda,
     default_lambda_grid,
     fit_elastic_net,
@@ -347,3 +348,48 @@ def test_singular_active_gram_falls_back_to_least_squares(monkeypatch):
     assert fit.converged
     np.testing.assert_allclose(X @ fit.coef, X @ ols, atol=1e-10)
     assert kkt_violation(X, y, fit.coef, pen) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 12), st.data())
+def test_column_scales_of_a_subset_are_that_subset_of_the_scales(seed, M, P, data):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((M, P)) * 10.0 ** rng.uniform(-3, 3, P)
+    X[:, rng.random(P) < 0.2] = 1.5  # constant columns fall back to scale 1
+    cols = data.draw(st.lists(st.integers(0, P - 1), min_size=1, max_size=P, unique=True))
+    np.testing.assert_array_equal(_column_scales(X[:, cols]), _column_scales(X)[cols])
+    np.testing.assert_array_equal(_column_scales(np.ascontiguousarray(X[:, cols])),
+                                  _column_scales(X)[cols])
+
+
+def _cv_naive(X, y, grid, alpha, n_folds):
+    """(mean validation MSE per lam, selected lam) from a cold, self-standardizing
+    fit per (fold, lam) on the raw training rows, and the one-SE rule."""
+    blocks = np.array_split(np.arange(len(y)), n_folds)
+    mse = np.empty((n_folds - 1, len(grid)))
+    for f in range(1, n_folds):
+        train, val = np.arange(blocks[f][0]), blocks[f]
+        for g, lam in enumerate(grid):
+            coef = fit_elastic_net(X[train], y[train], PenaltySpec(lam, alpha)).coef
+            err = y[val] - X[val] @ coef
+            mse[f - 1, g] = float(err @ err) / len(val)
+    mean = mse.mean(axis=0)
+    best = int(np.argmin(mean))
+    se = np.std(mse[:, best], ddof=1) / np.sqrt(n_folds - 1) if n_folds > 2 else 0.0
+    return mean, float(np.max(grid[mean <= mean[best] + se]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 5),
+       st.floats(0.1, 0.9), st.integers(1, 6))
+def test_per_fold_cv_matches_naive_per_lambda_fits(seed, P, n_folds, alpha, size):
+    rng = np.random.default_rng(seed)
+    M = n_folds * (P + 5) + int(rng.integers(0, 200))
+    X = rng.standard_normal((M, P)) * 10.0 ** rng.uniform(-2, 2, P)
+    y = X @ (rng.standard_normal(P) * (rng.random(P) < 0.6) / np.std(X, axis=0)) \
+        + rng.standard_normal(M)
+    grid = default_lambda_grid(X, y, alpha, size=size, ratio=1e-3)
+    res = cross_validate_lambda(X, y, grid, alpha, n_folds)
+    want, selected = _cv_naive(X, y, grid, alpha, n_folds)
+    np.testing.assert_allclose(res.mean_val_mse, want, rtol=1e-10, atol=0)
+    assert res.selected_lambda == selected

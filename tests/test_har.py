@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volnet.errors import HistoryTooShort, RankDeficientDesign, SeriesTooShort
 from volnet.har import (
@@ -8,11 +10,12 @@ from volnet.har import (
     build_har_features,
     fit_har_ols,
     fit_har_panel,
+    lag_means,
     persistence,
 )
 from volnet.synthetic import SyntheticSpec, generate_synthetic_panel
 
-from oracles import har_features_naive, ols_normal_equations
+from oracles import har_features_naive, lag_means_naive, ols_normal_equations
 
 
 def random_rv(n, seed):
@@ -68,6 +71,37 @@ def test_shift_equivariance():
     shifted = build_har_features(v[10:])
     np.testing.assert_array_equal(full.target[10:], shifted.target)
     np.testing.assert_array_equal(full.monthly[10:], shifted.monthly)
+
+
+@st.composite
+def _panels(draw):
+    lags = draw(st.sampled_from([(1, 5, 22), (1, 2, 3), (1, 3, 10)]))
+    N = max(lags) + draw(st.integers(1, 120))
+    K = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 10.0 ** draw(st.floats(-3.0, 3.0))
+    values = spread * rng.standard_normal((N, K))
+    if draw(st.booleans()):
+        values = np.abs(values)  # volatility-like: all positive
+    return values, lags
+
+
+@settings(max_examples=100, deadline=None)
+@given(_panels())
+def test_panel_lag_means_match_columns_and_exact_oracle(panel):
+    values, lags = panel
+    feats = lag_means(values, lags)
+    assert feats.shape == (len(values) - max(lags), values.shape[1], 3)
+    eps = np.finfo(float).eps
+    for k in range(values.shape[1]):
+        col = lag_means(values[:, k], lags)
+        np.testing.assert_array_equal(feats[:, k, :], col)
+        want = lag_means_naive(values[:, k], lags)
+        # a running sum of L terms is within (L-1)u * sum|x| of the exact sum
+        # (u = eps/2), and the division adds u
+        mean_abs = lag_means_naive(np.abs(values[:, k]), lags)
+        assert np.all(np.abs(col - want) <= np.array(lags) * eps * mean_abs)
+        np.testing.assert_array_equal(col[:, 0], values[max(lags) - 1:-1, k])  # lag 1 is exact
 
 
 def test_too_short_raises():

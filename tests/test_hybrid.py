@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volnet.elastic_net import PenaltySpec, fit_elastic_net
-from volnet.errors import HistoryTooShort
+from volnet.errors import HistoryTooShort, InvalidConfig
 from volnet.har import HarCoefficients, build_har_features, fit_har_ols, fit_har_panel
 from volnet.hybrid import (
     FEATURE_ORDER_TAG,
@@ -95,6 +98,30 @@ def test_fixed_lambdas_reproduce_manual_second_step(two_asset_panel):
         np.testing.assert_array_equal(model.cross[i, 0], fit.coef)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(60, 400),
+       st.floats(-4.0, -1.0))
+def test_cross_fits_match_standalone_fits_on_unscaled_designs(seed, K, N, log_lam):
+    rng = np.random.default_rng(seed)
+    values = 0.2 + 0.05 * np.abs(rng.standard_normal((N, K))).cumsum(axis=0) / np.sqrt(
+        np.arange(1, N + 1))[:, None] + 0.01 * rng.random((N, K))
+    panel = RvPanel(tuple(range(N)), tuple(f"A{i}" for i in range(K)), values)
+    lams = 10.0 ** (log_lam + rng.uniform(-0.5, 0.5, K))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # persistence >= 1 on some draws
+        model = fit_hybrid(panel, fixed_lambdas=lams)
+        har = fit_har_panel(panel)
+        feats = [build_har_features(values[:, i]) for i in range(K)]
+        for i in range(K):
+            _, resid = fit_har_ols(feats[i])
+            X = np.column_stack([np.column_stack([f.daily, f.weekly, f.monthly])
+                                 for j, f in enumerate(feats) if j != i])
+            fit = fit_elastic_net(X, resid, PenaltySpec(lams[i], model.alpha))
+            np.testing.assert_array_equal(model.cross[i], fit.coef.reshape(K - 1, 3))
+            np.testing.assert_array_equal(model.own[i].as_array(),
+                                          har.coefficients[i].as_array())
+
+
 def test_residual_covariance_matches_stored(two_asset_panel):
     model = fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3))
     recomputed = residual_covariance(model, two_asset_panel)
@@ -170,7 +197,7 @@ def test_model_from_dict_rejects_unknown_layout(two_asset_panel):
     model = fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3))
     payload = model_to_dict(model)
     payload["feature_order"] = "target-major-v0"
-    with pytest.raises(ValueError, match="feature ordering"):
+    with pytest.raises(InvalidConfig, match="feature ordering"):
         model_from_dict(payload)
     assert model_to_dict(model)["feature_order"] == FEATURE_ORDER_TAG
 

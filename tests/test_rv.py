@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import skew
 
-from volnet.errors import SeriesTooShort, WindowTooSmall
+from volnet.errors import (
+    DatesNotIncreasing,
+    MissingColumn,
+    SeriesTooShort,
+    UnparseableRow,
+    WindowTooSmall,
+)
 from volnet.ingest import OhlcBar, OhlcSeries, align_panel
 from volnet.rv import (
     RvPanel,
@@ -169,6 +175,64 @@ def test_csv_round_trip_exact(tmp_path):
     assert back.dates == rv.dates
     assert back.assets == rv.assets
     np.testing.assert_array_equal(back.values, rv.values)
+
+
+def test_csv_reader_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "rv.csv"
+    path.write_text("# config=abc\n\ndate,A,B\n2020-01-02,0.2,0.3\n# note\n"
+                    "2020-01-03,1e-3,0.25\n\n")
+    back = read_rv_csv(path)
+    assert back.assets == ("A", "B")
+    assert back.dates == (dt.date(2020, 1, 2), dt.date(2020, 1, 3))
+    np.testing.assert_array_equal(back.values, [[0.2, 0.3], [1e-3, 0.25]])
+
+
+GOOD_ROWS = ["2020-01-02,0.2,0.3", "2020-01-03,0.21,0.31", "2020-01-06,0.22,0.32"]
+
+
+def _read(tmp_path, header, rows):
+    path = tmp_path / "rv.csv"
+    path.write_text("# config=abc\n" + "\n".join(([header] if header else []) + rows) + "\n")
+    return read_rv_csv(path)
+
+
+def test_csv_reader_rejects_missing_header(tmp_path):
+    with pytest.raises(MissingColumn, match="no header"):
+        _read(tmp_path, None, [])
+    with pytest.raises(MissingColumn, match="line 2: RV header must start with 'date'"):
+        _read(tmp_path, None, GOOD_ROWS)
+
+
+def test_csv_reader_rejects_header_without_assets(tmp_path):
+    with pytest.raises(MissingColumn, match="no asset column"):
+        _read(tmp_path, "date", ["2020-01-02", "2020-01-03"])
+
+
+def test_csv_reader_rejects_file_without_rows(tmp_path):
+    with pytest.raises(SeriesTooShort, match="no data rows"):
+        _read(tmp_path, "date,A,B", [])
+
+
+@pytest.mark.parametrize("row, detail", [
+    ("2020-01-07,0.2", "line 6: 2 fields, expected 3"),
+    ("2020-01-07,0.2,0.3,0.4", "line 6: 4 fields, expected 3"),
+    ("2020-01-07,0.2,", "line 6: non-numeric value"),
+    ("2020-01-07,0.2,abc", "line 6: non-numeric value"),
+    ("2020-01-07,0.2,1_0", "line 6: non-numeric value"),
+    ("2020-01-07,nan,0.3", "line 6: non-finite value"),
+    ("2020-01-07,0.2,-inf", "line 6: non-finite value"),
+    ("2020-13-07,0.2,0.3", "line 6: bad date"),
+])
+def test_csv_reader_rejects_bad_row(tmp_path, row, detail):
+    with pytest.raises(UnparseableRow, match=detail) as exc:
+        _read(tmp_path, "date,A,B", GOOD_ROWS + [row, "2020-01-08,0.2,0.3"])
+    assert exc.value.line_number == 6
+
+
+@pytest.mark.parametrize("date", ["2020-01-06", "2020-01-01"])
+def test_csv_reader_rejects_dates_that_do_not_increase(tmp_path, date):
+    with pytest.raises(DatesNotIncreasing, match=f"line 6: date {date} does not follow"):
+        _read(tmp_path, "date,A,B", GOOD_ROWS + [f"{date},0.2,0.3"])
 
 
 def test_rv_panel_rejects_bad_shape():
