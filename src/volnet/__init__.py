@@ -31,7 +31,6 @@ from .har import (
     build_har_features,
     fit_har_ols,
     fit_har_panel,
-    persistence,
 )
 from .hybrid import (
     FitConfig,
@@ -49,7 +48,7 @@ from .rv import (
     YzConfig,
     read_rv_csv,
     rogers_satchell_var,
-    write_rv_csv,
+    rv_csv_text,
     yang_zhang_panel,
     yang_zhang_rv,
     yz_weight,
@@ -67,13 +66,13 @@ __all__ = [
     "ForecastReport", "build_forecast_report", "forecast_metrics",
     "rolling_forecast", "split_train_test",
     "HarCoefficients", "HarFeatures", "HarModelSet", "build_har_features",
-    "fit_har_ols", "fit_har_panel", "persistence",
+    "fit_har_ols", "fit_har_panel",
     "FitConfig", "HybridModel", "NetworkSummary", "fit_hybrid",
     "residual_covariance", "spillover_network",
     "OhlcBar", "OhlcPanel", "OhlcSeries", "align_panel", "load_ohlc_csv",
     "JirfPath", "ShockGroup", "joint_shock", "simulate_jirf",
     "RvPanel", "RvSeries", "YzConfig", "read_rv_csv", "rogers_satchell_var",
-    "write_rv_csv", "yang_zhang_panel", "yang_zhang_rv", "yz_weight",
+    "rv_csv_text", "yang_zhang_panel", "yang_zhang_rv", "yz_weight",
     "adf_test", "kpss_test",
     "PlantedEdge", "SyntheticSpec", "generate_synthetic_panel",
 ]

@@ -41,6 +41,8 @@ class BootstrapConfig:
             raise ValueError("replications must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -59,11 +60,19 @@ def _load_model(path: str):
         return model_from_dict(json.load(fh))
 
 
-def _load_groups(path: str) -> list[jirf.ShockGroup]:
+def _load_groups(path: str, assets: Sequence[str]) -> list[jirf.ShockGroup]:
+    """Shock groups from a JSON object mapping each group name to a non-empty
+    list of distinct asset names, all of them in `assets`."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not data:
         raise InvalidConfig("groups file must map group name -> asset list")
+    for name, members in data.items():
+        if (not isinstance(members, list) or not members
+                or not all(isinstance(a, str) and a in assets for a in members)
+                or len(set(members)) != len(members)):
+            raise InvalidConfig(f"group {name!r} must be a non-empty list of distinct "
+                                f"assets from {list(assets)}, got {members!r}")
     return [jirf.ShockGroup(name, tuple(members)) for name, members in data.items()]
 
 
@@ -71,20 +80,32 @@ def _run_config(args) -> RunConfig:
     return load_config(args.config) if getattr(args, "config", None) else RunConfig()
 
 
-def _with_flags(cfg: RunConfig, **flags) -> RunConfig:
-    """cfg with each flag that was given in place of its setting.
-
-    A setting resolves as flag > config file > default; flags default to None
-    so an absent flag leaves the config file's value in place.
-    """
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+def _fit_settings(fit: FitConfig) -> dict:
+    """The settings a fit's output depends on, as recorded in the config hash."""
+    return {"alpha": fit.alpha, "lags": list(fit.lags),
+            "lambda_grid": list(fit.lambda_grid) if fit.lambda_grid else None,
+            "grid_size": fit.grid_size, "grid_ratio": fit.grid_ratio,
+            "cv_folds": fit.cv_folds}
 
 
 def _n_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("VOLNET_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Bootstrap worker processes: VOLNET_THREADS, a positive integer; 1 if unset."""
+    text = os.environ.get("VOLNET_THREADS") or "1"
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise InvalidConfig(f"VOLNET_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _jirf_csv(model, groups: Sequence[jirf.ShockGroup], horizon: int,
+              condition_complement: bool, comments: list[str]) -> str:
+    rows = []
+    for g in groups:
+        path = jirf.jirf_for_group(model, g, horizon,
+                                   condition_complement=condition_complement)
+        rows += [f"{g.name},{asset},{hzn},{_fmt(v)}"
+                 for hzn, row in enumerate(path.responses)
+                 for asset, v in zip(model.assets, row)]
+    return _csv_text(comments, "group,asset,horizon,response", rows)
 
 
 # --- subcommands ---
@@ -101,27 +122,23 @@ def cmd_rv(args) -> int:
     panel = ingest.align_panel(series)
     cfg = rv.YzConfig(args.window, args.annualization)
     per_asset = [rv.yang_zhang_rv(s, cfg) for s in panel.series]
-    values = np.column_stack([r.values for r in per_asset])
     h = config_hash({"cmd": "rv", "assets": assets, "window": args.window,
                      "annualization": args.annualization})
-    out_lines = [f"config={h}"]
+    comments = [f"config={h}"]
     clamped = sum(r.n_clamped for r in per_asset)
     if clamped:
-        out_lines.append(f"clamped_windows={clamped}")
-    text_rows = [d.isoformat() + "," + ",".join(_fmt(v) for v in values[i])
-                 for i, d in enumerate(per_asset[0].dates)]
-    _atomic_write(args.out, _csv_text(out_lines, "date," + ",".join(assets), text_rows))
+        comments.append(f"clamped_windows={clamped}")
+    out = rv.RvPanel(per_asset[0].dates, panel.assets,
+                     np.column_stack([r.values for r in per_asset]))
+    _atomic_write(args.out, rv.rv_csv_text(out, comments))
     return 0
 
 
 def cmd_fit(args) -> int:
     cfg = _run_config(args)
     panel = rv.read_rv_csv(args.rv)
-    model = fit_hybrid(panel, cfg.fit_config())
-    h = config_hash({"cmd": "fit", "alpha": cfg.alpha, "lags": list(cfg.lags),
-                     "lambda_grid": list(cfg.lambda_grid) if cfg.lambda_grid else None,
-                     "grid_size": cfg.grid_size, "grid_ratio": cfg.grid_ratio,
-                     "cv_folds": cfg.cv_folds, "assets": list(panel.assets)})
+    model = fit_hybrid(panel, cfg.fit)
+    h = config_hash({"cmd": "fit", **_fit_settings(cfg.fit), "assets": list(panel.assets)})
     payload = model_to_dict(model)
     payload["config_hash"] = h
     _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -133,19 +150,18 @@ def cmd_forecast(args) -> int:
     panel = rv.read_rv_csv(args.rv)
     train, _ = evaluate.split_train_test(panel, args.split)
     test_start = len(train)
-    hybrid_model = fit_hybrid(train, cfg.fit_config())
-    har_model = fit_har_panel(train, cfg.lags)
+    hybrid_model = fit_hybrid(train, cfg.fit)
+    har_model = fit_har_panel(train, cfg.fit.lags)
 
     rows = []
     for label, model in (("hybrid", hybrid_model), ("har", har_model)):
         fc = evaluate.rolling_forecast(model, panel, test_start)
         report = evaluate.build_forecast_report(label, panel, fc, test_start)
         for asset, m in zip(report.assets, report.metrics):
-            rows.append(f"{label},{asset},{_fmt(m.rmse)},{_fmt(m.mae)},{m.mape:.1f}")
+            rows.append(f"{label},{asset},{_fmt(m.rmse)},{_fmt(m.mae)},{_fmt(m.mape)}")
         rows.append(f"{label},AVERAGE,{_fmt(report.avg_rmse)},{_fmt(report.avg_mae)},"
-                    f"{report.avg_mape:.1f}")
-    h = config_hash({"cmd": "forecast", "split": args.split, "alpha": cfg.alpha,
-                     "lags": list(cfg.lags), "cv_folds": cfg.cv_folds,
+                    f"{_fmt(report.avg_mape)}")
+    h = config_hash({"cmd": "forecast", "split": args.split, **_fit_settings(cfg.fit),
                      "assets": list(panel.assets)})
     _atomic_write(args.out, _csv_text([f"config={h}"], "model,asset,rmse,mae,mape", rows))
     return 0
@@ -164,29 +180,27 @@ def cmd_network(args) -> int:
 def cmd_jirf(args) -> int:
     cfg = _run_config(args)
     model = _load_model(args.model)
-    groups = _load_groups(args.groups)
-    rows = []
-    for g in groups:
-        path = jirf.jirf_for_group(model, g, args.horizon,
-                                   condition_complement=cfg.condition_complement)
-        for hzn in range(path.responses.shape[0]):
-            for k, asset in enumerate(model.assets):
-                rows.append(f"{g.name},{asset},{hzn},{_fmt(path.responses[hzn, k])}")
+    groups = _load_groups(args.groups, model.assets)
     h = config_hash({"cmd": "jirf", "horizon": args.horizon,
                      "condition_complement": cfg.condition_complement,
                      "groups": {g.name: list(g.members) for g in groups},
                      "assets": list(model.assets)})
-    _atomic_write(args.out, _csv_text([f"config={h}"], "group,asset,horizon,response", rows))
+    _atomic_write(args.out, _jirf_csv(model, groups, args.horizon, cfg.condition_complement,
+                                      [f"config={h}"]))
     return 0
 
 
 def cmd_bootstrap(args) -> int:
-    cfg = _with_flags(_run_config(args), block_length=args.block, replications=args.reps,
-                      ci_level=args.ci, seed=args.seed)
+    cfg = _run_config(args)
+    # flag > config file > default: flags default to None, so an absent flag
+    # leaves the config file's value in place
+    flags = {"block_length": args.block, "replications": args.reps, "ci_level": args.ci,
+             "seed": args.seed}
+    bcfg = dataclasses.replace(cfg.bootstrap, n_jobs=_n_jobs(),
+                               **{k: v for k, v in flags.items() if v is not None})
     panel = rv.read_rv_csv(args.rv)
     model = _load_model(args.model)
-    groups = _load_groups(args.groups)
-    bcfg = cfg.bootstrap_config(n_jobs=_n_jobs())
+    groups = _load_groups(args.groups, model.assets)
     fit_cfg = FitConfig(alpha=model.alpha, lags=model.lags)
     band = boot.bootstrap_jirf(panel, fit_cfg, model.selected_lambda, groups, bcfg,
                                horizon=args.horizon,
@@ -230,10 +244,7 @@ def cmd_simulate(args) -> int:
     spec = synthetic.spec_from_dict(spec_dict)
     panel = synthetic.generate_synthetic_panel(spec)
     h = config_hash({"cmd": "simulate", "spec": synthetic.spec_to_dict(spec)})
-    rows = [d.isoformat() + "," + ",".join(_fmt(v) for v in panel.values[i])
-            for i, d in enumerate(panel.dates)]
-    _atomic_write(args.out, _csv_text([f"config={h}"],
-                                      "date," + ",".join(panel.assets), rows))
+    _atomic_write(args.out, rv.rv_csv_text(panel, [f"config={h}"]))
     return 0
 
 
@@ -241,24 +252,21 @@ def cmd_report(args) -> int:
     cfg = _run_config(args)
     panel = rv.read_rv_csv(args.rv)
     model = _load_model(args.model)
+    # a bands file stands in for the groups' responses
+    groups = _load_groups(args.groups, model.assets) if args.groups and not args.bands else []
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net = spillover_network(model)
     h = config_hash({"cmd": "report", "assets": list(model.assets),
                      "horizon": args.horizon,
-                     "condition_complement": cfg.condition_complement})
+                     "condition_complement": cfg.condition_complement,
+                     "groups": {g.name: list(g.members) for g in groups}})
 
-    rv_rows = [d.isoformat() + "," + ",".join(_fmt(v) for v in panel.values[i])
-               for i, d in enumerate(panel.dates)]
-    _atomic_write(out_dir / "rv_series.csv",
-                  _csv_text([f"config={h}"], "date," + ",".join(panel.assets), rv_rows))
-
-    coef_rows = []
-    for i, target in enumerate(model.assets):
-        for j, source in enumerate(model.assets):
-            for hz, label in enumerate(HORIZON_LABELS):
-                val = 0.0 if i == j else float(model.dense_cross[i, j, hz])
-                coef_rows.append(f"{target},{source},{label},{_fmt(val)}")
+    _atomic_write(out_dir / "rv_series.csv", rv.rv_csv_text(panel, [f"config={h}"]))
+    coef_rows = [f"{target},{source},{label},{_fmt(model.cross[i, j, hz])}"
+                 for i, target in enumerate(model.assets)
+                 for j, source in enumerate(model.assets)
+                 for hz, label in enumerate(HORIZON_LABELS)]
     _atomic_write(out_dir / "coefficient_matrix.csv",
                   _csv_text([f"config={h}"], "target,source,horizon,coefficient", coef_rows))
 
@@ -267,17 +275,10 @@ def cmd_report(args) -> int:
         bands_text = Path(args.bands).read_text()
         _atomic_write(out_dir / "jirf_bands.csv", bands_text)
         figures["jirf_bands"] = "jirf_bands.csv"
-    elif args.groups:
-        groups = _load_groups(args.groups)
-        rows = []
-        for g in groups:
-            path = jirf.jirf_for_group(model, g, args.horizon,
-                                       condition_complement=cfg.condition_complement)
-            for hzn in range(path.responses.shape[0]):
-                for k, asset in enumerate(model.assets):
-                    rows.append(f"{g.name},{asset},{hzn},{_fmt(path.responses[hzn, k])}")
+    elif groups:
         _atomic_write(out_dir / "jirf_paths.csv",
-                      _csv_text([f"config={h}"], "group,asset,horizon,response", rows))
+                      _jirf_csv(model, groups, args.horizon, cfg.condition_complement,
+                                [f"config={h}"]))
         figures["jirf_paths"] = "jirf_paths.csv"
 
     summary = {

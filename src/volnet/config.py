@@ -1,123 +1,104 @@
 """JSON run configuration shared by the CLI subcommands.
 
-Defaults follow the estimation settings used throughout the library: 30-day
-volatility window annualized by 252, HAR lags (1, 5, 22), ElasticNet L1
-share 0.5 with a 60-point log-spaced penalty grid, 5 forward-chaining CV
-folds, 80/20 chronological split, horizon-20 impulse responses, and a
-50-day-block bootstrap with 1000 replicates at a 95% band. Unknown keys are
-rejected rather than ignored so typos cannot silently fall back to defaults.
+A config file sets the fit settings (`lags`, `alpha`, `lambda_grid` as a
+list of penalties or as `{"size", "ratio"}` of the data-driven grid,
+`cv_folds`), the bootstrap settings (`bootstrap.block_length`,
+`bootstrap.replications`, `bootstrap.ci_level`, and `seed`) and
+`condition_complement`. Each default lives once, in FitConfig,
+BootstrapConfig or RunConfig. The file is validated when it is loaded:
+unknown keys, values of the wrong type and values out of range raise
+InvalidConfig, so no setting is silently ignored or coerced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .bootstrap import BootstrapConfig
 from .errors import InvalidConfig
 from .hybrid import FitConfig
-from .jirf import ShockGroup
-from .rv import YzConfig
 
-_TOP_KEYS = {
-    "data_dir", "assets", "window", "annualization", "lags", "alpha",
-    "lambda_grid", "cv_folds", "split_ratio", "jirf_horizon",
-    "condition_complement", "shock_groups", "bootstrap", "seed",
-}
+_TOP_KEYS = {"lags", "alpha", "lambda_grid", "cv_folds", "condition_complement",
+             "bootstrap", "seed"}
 _GRID_KEYS = {"size", "ratio"}
 _BOOT_KEYS = {"block_length", "replications", "ci_level"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    data_dir: str | None = None
-    assets: tuple[str, ...] | None = None
-    window: int = 30
-    annualization: float = 252.0
-    lags: tuple[int, int, int] = (1, 5, 22)
-    alpha: float = 0.5
-    lambda_grid: tuple[float, ...] | None = None
-    grid_size: int = 60
-    grid_ratio: float = 1e-4
-    cv_folds: int = 5
-    split_ratio: float = 0.8
-    jirf_horizon: int = 20
+    fit: FitConfig = FitConfig()
+    bootstrap: BootstrapConfig = BootstrapConfig()
     condition_complement: bool = True
-    shock_groups: tuple[ShockGroup, ...] = ()
-    block_length: int = 50
-    replications: int = 1000
-    ci_level: float = 0.95
-    seed: int = 0
 
-    def yz_config(self) -> YzConfig:
-        return YzConfig(self.window, self.annualization)
 
-    def fit_config(self) -> FitConfig:
-        return FitConfig(alpha=self.alpha, lambda_grid=self.lambda_grid,
-                         grid_size=self.grid_size, grid_ratio=self.grid_ratio,
-                         cv_folds=self.cv_folds, lags=self.lags)
+def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+    unknown = set(d) - allowed
+    if unknown:
+        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
 
-    def bootstrap_config(self, n_jobs: int = 1) -> BootstrapConfig:
-        return BootstrapConfig(block_length=self.block_length,
-                               replications=self.replications,
-                               ci_level=self.ci_level, seed=self.seed,
-                               n_jobs=n_jobs)
+
+def _int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidConfig(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    unknown = set(d) - _TOP_KEYS
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-
-    kwargs: dict = {}
-    if "data_dir" in d:
-        kwargs["data_dir"] = d["data_dir"]
-    if "assets" in d:
-        kwargs["assets"] = tuple(d["assets"])
-    for key in ("window", "cv_folds", "jirf_horizon", "seed"):
-        if key in d:
-            kwargs[key] = int(d[key])
-    for key in ("annualization", "alpha", "split_ratio"):
-        if key in d:
-            kwargs[key] = float(d[key])
-    if "condition_complement" in d:
-        kwargs["condition_complement"] = bool(d["condition_complement"])
+    """RunConfig from a parsed config file; types are checked here, ranges by
+    the dataclasses, and any defect raises InvalidConfig."""
+    _check_keys(d, _TOP_KEYS, "config")
+    fit: dict = {}
+    if "alpha" in d:
+        fit["alpha"] = _number(d["alpha"], "alpha")
+    if "cv_folds" in d:
+        fit["cv_folds"] = _int(d["cv_folds"], "cv_folds")
     if "lags" in d:
-        lags = tuple(int(v) for v in d["lags"])
-        if len(lags) != 3 or sorted(lags) != list(lags):
-            raise InvalidConfig(f"lags must be three ascending integers, got {lags}")
-        kwargs["lags"] = lags
-    if "lambda_grid" in d:
-        grid = d["lambda_grid"]
-        if isinstance(grid, dict):
-            unknown = set(grid) - _GRID_KEYS
-            if unknown:
-                raise InvalidConfig(f"unknown lambda_grid keys: {sorted(unknown)}")
-            if "size" in grid:
-                kwargs["grid_size"] = int(grid["size"])
-            if "ratio" in grid:
-                kwargs["grid_ratio"] = float(grid["ratio"])
-        else:
-            kwargs["lambda_grid"] = tuple(float(v) for v in grid)
-    if "shock_groups" in d:
-        groups = d["shock_groups"]
-        if not isinstance(groups, dict):
-            raise InvalidConfig("shock_groups must map group name -> asset list")
-        kwargs["shock_groups"] = tuple(ShockGroup(name, tuple(members))
-                                       for name, members in groups.items())
-    if "bootstrap" in d:
-        boot = d["bootstrap"]
-        unknown = set(boot) - _BOOT_KEYS
-        if unknown:
-            raise InvalidConfig(f"unknown bootstrap keys: {sorted(unknown)}")
-        if "block_length" in boot:
-            kwargs["block_length"] = int(boot["block_length"])
-        if "replications" in boot:
-            kwargs["replications"] = int(boot["replications"])
-        if "ci_level" in boot:
-            kwargs["ci_level"] = float(boot["ci_level"])
-    return RunConfig(**kwargs)
+        fit["lags"] = tuple(_int(v, "lags") for v in _list(d["lags"], "lags"))
+    grid = d.get("lambda_grid", {})
+    if isinstance(grid, dict):
+        _check_keys(grid, _GRID_KEYS, "lambda_grid")
+        if "size" in grid:
+            fit["grid_size"] = _int(grid["size"], "lambda_grid.size")
+        if "ratio" in grid:
+            fit["grid_ratio"] = _number(grid["ratio"], "lambda_grid.ratio")
+    else:
+        fit["lambda_grid"] = tuple(_number(v, "lambda_grid")
+                                   for v in _list(grid, "lambda_grid"))
+
+    boot = d.get("bootstrap", {})
+    if not isinstance(boot, dict):
+        raise InvalidConfig(f"bootstrap must be an object, got {boot!r}")
+    _check_keys(boot, _BOOT_KEYS, "bootstrap")
+    boot_kw = {k: _int(boot[k], f"bootstrap.{k}")
+               for k in ("block_length", "replications") if k in boot}
+    if "ci_level" in boot:
+        boot_kw["ci_level"] = _number(boot["ci_level"], "bootstrap.ci_level")
+    if "seed" in d:
+        boot_kw["seed"] = _int(d["seed"], "seed")
+
+    complement = d.get("condition_complement", True)
+    if not isinstance(complement, bool):
+        raise InvalidConfig(f"condition_complement must be true or false, got {complement!r}")
+    try:
+        return RunConfig(FitConfig(**fit), BootstrapConfig(**boot_kw), complement)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from None
 
 
 def load_config(path: str) -> RunConfig:

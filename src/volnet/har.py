@@ -51,10 +51,6 @@ class HarCoefficients:
         return np.array([self.intercept, self.beta_d, self.beta_w, self.beta_m])
 
 
-def persistence(c: HarCoefficients) -> float:
-    return c.persistence
-
-
 def lag_means(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS) -> np.ndarray:
     """Trailing lag averages. Row t holds, per lag L, mean(values[t-L..t-1]).
 

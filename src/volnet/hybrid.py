@@ -8,9 +8,10 @@ penalty strength chosen by forward-chaining cross-validation (or supplied
 fixed, as the bootstrap requires). The final residuals feed the covariance
 matrix used to build correlated joint shocks.
 
-Cross-feature ordering is fixed as (source asset in input order, skipping the
-target itself) x (daily, weekly, monthly); serialized models carry a version
-tag for this layout.
+The cross coefficients are one K x K x 3 array indexed [target, source,
+horizon] with a zero diagonal. A target's cross design orders its features as
+(source asset in input order, skipping the target itself) x (daily, weekly,
+monthly); serialized models carry a version tag for this layout.
 """
 
 from __future__ import annotations
@@ -52,12 +53,25 @@ class FitConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
 
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.lambda_grid is not None and (not self.lambda_grid or min(self.lambda_grid) < 0):
+            raise ValueError(f"lambda_grid must hold penalties >= 0, got {self.lambda_grid}")
+        if self.grid_size < 1 or not 0.0 < self.grid_ratio <= 1.0:
+            raise ValueError(f"lambda grid size must be >= 1 and ratio in (0, 1], "
+                             f"got {self.grid_size} and {self.grid_ratio}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if len(self.lags) != 3 or not 0 < self.lags[0] < self.lags[1] < self.lags[2]:
+            raise ValueError(f"lags must be three positive ascending integers, got {self.lags}")
+
 
 @dataclass(frozen=True)
 class HybridModel:
     assets: tuple[str, ...]
     own: tuple[HarCoefficients, ...]
-    cross: np.ndarray           # K x (K-1) x 3, target-major; no self entries
+    cross: np.ndarray           # K x K x 3, [target, source, horizon]; zero diagonal
     selected_lambda: np.ndarray
     residual_cov: np.ndarray    # K x K, sample covariance of final residuals
     lags: tuple[int, int, int] = DEFAULT_LAGS
@@ -67,22 +81,16 @@ class HybridModel:
     n_obs: int = 0
     seed_tail: np.ndarray | None = None  # last max(lags) panel rows; default IRF seed
 
+    def __post_init__(self):
+        K = self.n_assets
+        if self.cross.shape != (K, K, 3):
+            raise ValueError(f"cross has shape {self.cross.shape}, expected {(K, K, 3)}")
+        if np.diagonal(self.cross).any():
+            raise ValueError("cross has nonzero self entries")
+
     @property
     def n_assets(self) -> int:
         return len(self.assets)
-
-    def sources(self, target: int) -> list[int]:
-        return [j for j in range(self.n_assets) if j != target]
-
-    @cached_property
-    def dense_cross(self) -> np.ndarray:
-        """K x K x 3 tensor with explicit zeros on the diagonal blocks."""
-        K = self.n_assets
-        dense = np.zeros((K, K, 3))
-        for i in range(K):
-            for s, j in enumerate(self.sources(i)):
-                dense[i, j] = self.cross[i, s]
-        return dense
 
     @cached_property
     def intercepts(self) -> np.ndarray:
@@ -94,12 +102,12 @@ class HybridModel:
 
         Column (m - p)*K + j holds the weight of asset j's value p days back,
         sum over horizons h with p <= L_h of coef[i, j, h] / L_h, where coef is
-        dense_cross with the own betas on the diagonal. One step of the model
+        cross with the own betas on the diagonal. One step of the model
         is then intercepts + W @ history[-m:].ravel().
         """
         K = self.n_assets
         m = max(self.lags)
-        coef = self.dense_cross.copy()
+        coef = self.cross.copy()
         for i, c in enumerate(self.own):
             coef[i, i] += (c.beta_d, c.beta_w, c.beta_m)
         W = np.zeros((K, m, K))
@@ -140,7 +148,7 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     Fs = F / scale
 
     own: list[HarCoefficients] = []
-    cross = np.zeros((K, max(K - 1, 0), 3))
+    cross = np.zeros((K, K, 3))
     lambdas = np.zeros(K)
     xi = np.empty((M, K))
     for i in range(K):
@@ -164,7 +172,7 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
         lambdas[i] = lam
         fit = fit_elastic_net(Xs, resid, PenaltySpec(lam, cfg.alpha),
                               tol=cfg.tol, max_iter=cfg.max_iter, standardize=False)
-        cross[i] = (fit.coef / np.delete(scale, own_cols)).reshape(K - 1, 3)
+        cross[i, np.arange(K) != i] = (fit.coef / np.delete(scale, own_cols)).reshape(K - 1, 3)
         xi[:, i] = resid - Xs @ fit.coef
 
     cov = np.cov(xi, rowvar=False, ddof=1).reshape(K, K)
@@ -215,14 +223,16 @@ def spillover_network(model: HybridModel) -> NetworkSummary:
     in_s = {a: 0.0 for a in model.assets}
     n_zero = 0
     for i, target in enumerate(model.assets):
-        for s, j in enumerate(model.sources(i)):
+        for j, source in enumerate(model.assets):
+            if j == i:
+                continue
             for h, label in enumerate(HORIZON_LABELS):
-                c = float(model.cross[i, s, h])
+                c = float(model.cross[i, j, h])
                 if c == 0.0:
                     n_zero += 1
                     continue
-                edges.append(NetworkEdge(model.assets[j], target, label, c))
-                out_s[model.assets[j]] += abs(c)
+                edges.append(NetworkEdge(source, target, label, c))
+                out_s[source] += abs(c)
                 in_s[target] += abs(c)
     n_slots = 3 * model.n_assets * (model.n_assets - 1)
     sparsity = n_zero / n_slots if n_slots else 1.0
@@ -238,7 +248,7 @@ def model_to_dict(model: HybridModel) -> dict:
         "alpha": model.alpha,
         "own": [{"intercept": c.intercept, "beta_d": c.beta_d,
                  "beta_w": c.beta_w, "beta_m": c.beta_m} for c in model.own],
-        "cross": model.dense_cross.tolist(),
+        "cross": model.cross.tolist(),
         "selected_lambda": model.selected_lambda.tolist(),
         "residual_cov": model.residual_cov.tolist(),
         "sample_start": model.sample_start.isoformat() if model.sample_start else None,
@@ -278,29 +288,26 @@ def model_from_dict(d: dict) -> HybridModel:
         raise InvalidConfig(f"model own must hold one coefficient object per asset ({K})")
     own = _finite_array([[o["intercept"], o["beta_d"], o["beta_w"], o["beta_m"]]
                          for o in d["own"]], "own", (K, 4))
-    dense = _finite_array(d["cross"], "cross", (K, K, 3))
-    if np.any(dense[np.arange(K), np.arange(K)] != 0.0):
-        raise InvalidConfig("model cross has nonzero self entries")
+    cross = _finite_array(d["cross"], "cross", (K, K, 3))
     cov = _finite_array(d["residual_cov"], "residual_cov", (K, K))
     if not np.array_equal(cov, cov.T) or np.any(np.diag(cov) < 0.0):
         raise InvalidConfig("model residual_cov must be symmetric with a nonnegative diagonal")
     seed_tail = None
     if d.get("seed_tail") is not None:
         seed_tail = _finite_array(d["seed_tail"], "seed_tail", (m, K))
-    cross = np.zeros((K, max(K - 1, 0), 3))
-    for i in range(K):
-        for s, j in enumerate(j for j in range(K) if j != i):
-            cross[i, s] = dense[i, j]
-    return HybridModel(
-        assets=assets,
-        own=tuple(HarCoefficients(*map(float, row)) for row in own),
-        cross=cross,
-        selected_lambda=_finite_array(d["selected_lambda"], "selected_lambda", (K,)),
-        residual_cov=cov,
-        lags=tuple(lags),
-        alpha=float(d["alpha"]),
-        sample_start=dt.date.fromisoformat(d["sample_start"]) if d["sample_start"] else None,
-        sample_end=dt.date.fromisoformat(d["sample_end"]) if d["sample_end"] else None,
-        n_obs=int(d["n_obs"]),
-        seed_tail=seed_tail,
-    )
+    try:
+        return HybridModel(
+            assets=assets,
+            own=tuple(HarCoefficients(*map(float, row)) for row in own),
+            cross=cross,
+            selected_lambda=_finite_array(d["selected_lambda"], "selected_lambda", (K,)),
+            residual_cov=cov,
+            lags=tuple(lags),
+            alpha=float(d["alpha"]),
+            sample_start=dt.date.fromisoformat(d["sample_start"]) if d["sample_start"] else None,
+            sample_end=dt.date.fromisoformat(d["sample_end"]) if d["sample_end"] else None,
+            n_obs=int(d["n_obs"]),
+            seed_tail=seed_tail,
+        )
+    except ValueError as exc:  # a nonzero self entry in cross, a bad date or count
+        raise InvalidConfig(f"model {exc}") from None

@@ -12,7 +12,7 @@ import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class OhlcSeries:
     def bar(self, i: int) -> OhlcBar:
         return OhlcBar(self.dates[i], float(self.open[i]), float(self.high[i]),
                        float(self.low[i]), float(self.close[i]))
-
-    def bars(self) -> Iterator[OhlcBar]:
-        return (self.bar(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,6 @@ class RvPanel:
     def n_assets(self) -> int:
         return len(self.assets)
 
-    def column(self, asset: str) -> np.ndarray:
-        return self.values[:, self.assets.index(asset)]
-
 
 def yz_weight(n: int) -> float:
     """Yang-Zhang weight k minimizing estimator variance for window n."""
@@ -122,13 +119,14 @@ def yang_zhang_panel(panel: OhlcPanel, cfg: YzConfig = YzConfig()) -> RvPanel:
     return RvPanel(dates, panel.assets, np.column_stack([r.values for r in out]))
 
 
-def write_rv_csv(panel: RvPanel, path: str | Path,
-                 header_comments: Sequence[str] = ()) -> None:
-    lines = [f"# {c}" for c in header_comments]
+def rv_csv_text(panel: RvPanel, comments: Sequence[str] = ()) -> str:
+    """The panel as the CSV read_rv_csv reads: each comment as a `# ` line,
+    the header, then one row per date with values in round-trip repr."""
+    lines = [f"# {c}" for c in comments]
     lines.append("date," + ",".join(panel.assets))
-    for i, d in enumerate(panel.dates):
-        lines.append(d.isoformat() + "," + ",".join(repr(float(v)) for v in panel.values[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines += [d.isoformat() + "," + ",".join(map(repr, row))
+              for d, row in zip(panel.dates, panel.values.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def read_rv_csv(path: str | Path) -> RvPanel:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -109,15 +108,9 @@ def true_hybrid_model(spec: SyntheticSpec) -> HybridModel:
     Serves as ground truth for impulse responses: residual covariance is the
     innovation covariance itself.
     """
-    K = len(spec.assets)
-    gamma = _cross_tensor(spec)
-    cross = np.zeros((K, max(K - 1, 0), 3))
-    for i in range(K):
-        for s, j in enumerate(j for j in range(K) if j != i):
-            cross[i, s] = gamma[i, j]
     return HybridModel(
-        assets=spec.assets, own=spec.own, cross=cross,
-        selected_lambda=np.zeros(K),
+        assets=spec.assets, own=spec.own, cross=_cross_tensor(spec),
+        selected_lambda=np.zeros(len(spec.assets)),
         residual_cov=np.asarray(spec.innovation_cov, dtype=float),
         lags=DEFAULT_LAGS, alpha=0.5,
     )

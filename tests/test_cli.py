@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volnet import rv
+from volnet import cli, rv
 from volnet.cli import main
-from volnet.config import config_hash
-from volnet.har import HarCoefficients
+from volnet.config import config_from_dict, config_hash, load_config
+from volnet.errors import InvalidConfig
+from volnet.evaluate import build_forecast_report, rolling_forecast, split_train_test
+from volnet.har import HarCoefficients, fit_har_panel
+from volnet.hybrid import fit_hybrid
 from volnet.ingest import load_ohlc_csv
 from volnet.synthetic import PlantedEdge, SyntheticSpec, spec_to_dict
 
@@ -189,7 +192,17 @@ def test_forecast_output(workdir):
     for line in lines[1:]:
         rmse, mae, mape = line.split(",")[2:]
         assert float(rmse) >= float(mae)
-        assert re.fullmatch(r"\d+\.\d", mape)  # one decimal, percent
+    # MAPE (percent) is printed in round-trip repr like every other float
+    panel = rv.read_rv_csv(workdir["rv"])
+    train, _ = split_train_test(panel, 0.8)
+    fit_cfg = load_config(str(workdir["config"])).fit
+    want = []
+    for label, model in (("hybrid", fit_hybrid(train, fit_cfg)),
+                         ("har", fit_har_panel(train, fit_cfg.lags))):
+        fc = rolling_forecast(model, panel, len(train))
+        report = build_forecast_report(label, panel, fc, len(train))
+        want += [m.mape for m in report.metrics] + [report.avg_mape]
+    assert [float(line.split(",")[4]) for line in lines[1:]] == want
 
 
 def test_report_bundle(workdir):
@@ -249,6 +262,85 @@ def test_unknown_config_key_rejected(workdir, tmp_path, capsys):
     assert main(["fit", "--rv", str(workdir["rv"]), "--config", str(bad),
                  "--out", str(tmp_path / "m.json")]) == 1
     assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+
+
+BAD_CONFIG_VALUES = {
+    "complement_not_bool": {"condition_complement": "false"},
+    "folds_not_integer": {"cv_folds": 2.7},
+    "one_fold": {"cv_folds": 1},
+    "alpha_above_one": {"alpha": 7.0},
+    "ci_level_above_one": {"bootstrap": {"ci_level": 1.5}},
+    "lags_not_ascending": {"lags": [1, 5, 5]},
+    "empty_grid": {"lambda_grid": {"size": 0}},
+    "negative_seed": {"seed": -1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_invalid_config_values_rejected(workdir, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_CONFIG_VALUES[case]))
+    assert main(["fit", "--rv", str(workdir["rv"]), "--config", str(bad),
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+# keys that no command reads; a config that sets one is rejected, not ignored
+REMOVED_CONFIG_KEYS = {"data_dir": "data", "assets": ["A", "B"], "window": 30,
+                       "annualization": 252.0, "split_ratio": 0.5, "jirf_horizon": 5,
+                       "shock_groups": {"g": ["A"]}}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_CONFIG_KEYS))
+def test_config_keys_no_command_reads_rejected(workdir, tmp_path, capsys, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: REMOVED_CONFIG_KEYS[key]}))
+    assert main(["jirf", "--model", str(workdir["model"]), "--groups", str(workdir["groups"]),
+                 "--config", str(bad), "--out", str(tmp_path / "j.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "volnet: code=InvalidConfig" in err and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"cv_folds": 2},
+    {"alpha": 0.5, "cv_folds": 3, "lambda_grid": {"size": 3, "ratio": 0.01}},
+    {"alpha": 0.5, "cv_folds": 2, "lambda_grid": [0.01]},
+    {"lags": [1, 5, 22], "alpha": 1, "lambda_grid": [0, 0.5], "condition_complement": False,
+     "seed": 0, "bootstrap": {"block_length": 1, "replications": 1, "ci_level": 0.5}},
+])
+def test_valid_configs_load(settings):
+    cfg = config_from_dict(settings)
+    assert cfg.fit.cv_folds == settings.get("cv_folds", 5)
+    assert cfg.condition_complement == settings.get("condition_complement", True)
+
+
+def test_config_hash_records_every_fit_setting(workdir, tmp_path):
+    def forecast_config_line(grid):
+        cfg, out = tmp_path / "grid.json", tmp_path / "forecast.csv"
+        cfg.write_text(json.dumps({"lambda_grid": grid}))
+        assert main(["forecast", "--rv", str(workdir["rv"]), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        return comment_lines(out)[0]
+
+    assert forecast_config_line([1e-6]) != forecast_config_line([1.0])
+    model = json.loads(workdir["model"].read_text())
+    assert model["config_hash"] == config_hash({
+        "cmd": "fit", "alpha": 0.5, "lags": [1, 5, 22], "lambda_grid": [0.005],
+        "grid_size": 60, "grid_ratio": 1e-4, "cv_folds": 5, "assets": ["A", "B"]})
+
+
+def test_report_config_hash_records_the_groups(workdir, tmp_path):
+    solo = tmp_path / "solo.json"
+    solo.write_text(json.dumps({"b_only": ["B"]}))
+    out = tmp_path / "rep"
+    assert main(["report", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
+                 "--groups", str(solo), "--horizon", "6", "--out-dir", str(out)]) == 0
+    before = json.loads((workdir["report"] / "report.json").read_text())["config_hash"]
+    after = json.loads((out / "report.json").read_text())["config_hash"]
+    assert before != after
+    assert comment_lines(out / "jirf_paths.csv")[0] == f"# config={after}"
 
 
 def test_malformed_model_json(workdir, tmp_path, capsys):
@@ -352,6 +444,41 @@ def test_groups_must_be_a_mapping(workdir, tmp_path, capsys):
     bad.write_text(json.dumps(["A", "B"]))
     assert main(["jirf", "--model", str(workdir["model"]), "--groups", str(bad),
                  "--out", str(tmp_path / "j.csv")]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("groups", [
+    {"e": "AB"}, {"e": []}, {"e": [1]}, {"e": ["A", "A"]}, {"e": ["Z"]}, {"e": None},
+    {"ok": ["A"], "e": {"A": 1}},
+])
+def test_group_members_must_be_distinct_model_assets(workdir, tmp_path, capsys, groups):
+    bad = tmp_path / "groups.json"
+    bad.write_text(json.dumps(groups))
+    assert main(["jirf", "--model", str(workdir["model"]), "--groups", str(bad),
+                 "--out", str(tmp_path / "j.csv")]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not (tmp_path / "j.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " ", "٣"])
+def test_thread_count_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("VOLNET_THREADS", value)
+    with pytest.raises(InvalidConfig, match="VOLNET_THREADS"):
+        cli._n_jobs()
+
+
+def test_thread_count_defaults_to_one(workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("VOLNET_THREADS", raising=False)
+    assert cli._n_jobs() == 1
+    monkeypatch.setenv("VOLNET_THREADS", "")
+    assert cli._n_jobs() == 1
+    monkeypatch.setenv("VOLNET_THREADS", "3")
+    assert cli._n_jobs() == 3
+    # a bad value stops the command before any worker starts
+    monkeypatch.setenv("VOLNET_THREADS", "0")
+    assert main(["bootstrap", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
+                 "--groups", str(workdir["groups"]), "--reps", "4",
+                 "--out", str(tmp_path / "b.csv")]) == 1
     assert "volnet: code=InvalidConfig" in capsys.readouterr().err
 
 

@@ -11,7 +11,6 @@ from volnet.har import (
     fit_har_ols,
     fit_har_panel,
     lag_means,
-    persistence,
 )
 from volnet.synthetic import SyntheticSpec, generate_synthetic_panel
 
@@ -151,8 +150,8 @@ def test_residual_orthogonality_and_reconstruction():
 
 
 def test_persistence_examples():
-    assert persistence(HarCoefficients(0.0, 0.4, 0.3, 0.29)) == pytest.approx(0.99)
-    assert persistence(HarCoefficients(0.0, 0.0, 0.0, 0.0)) == 0.0
+    assert HarCoefficients(0.0, 0.4, 0.3, 0.29).persistence == pytest.approx(0.99)
+    assert HarCoefficients(0.0, 0.0, 0.0, 0.0).persistence == 0.0
 
 
 def test_persistence_recovered_from_persistent_panel():

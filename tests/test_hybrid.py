@@ -40,12 +40,13 @@ def test_step_one_matches_univariate_har(zero_cross_panel):
 
 def test_zero_cross_panel_mostly_sparse(zero_cross_panel):
     model = fit_hybrid(zero_cross_panel, FitConfig())
-    assert np.mean(model.cross == 0.0) >= 0.90
+    off_diagonal = ~np.eye(model.n_assets, dtype=bool)  # the 3K(K-1) cross slots
+    assert np.mean(model.cross[off_diagonal] == 0.0) >= 0.90
 
 
 def test_predict_one_step_hand_computed():
-    cross = np.zeros((2, 1, 3))
-    cross[0, 0] = [0.2, -0.1, 0.05]  # B feeds A; B receives nothing
+    cross = np.zeros((2, 2, 3))
+    cross[0, 1] = [0.2, -0.1, 0.05]  # B feeds A; B receives nothing
     model = small_model(cross)
     history = np.array([[0.10, 0.30],
                         [0.12, 0.28],
@@ -69,7 +70,7 @@ def test_prediction_splits_into_own_and_cross(two_asset_panel):
     own = own_only.predict_one_step(history)
     m = max(model.lags)
     feats = np.stack([history[-lag:].mean(axis=0) for lag in model.lags])  # 3 x K
-    cross_part = np.einsum("ijh,hj->i", model.dense_cross, feats)
+    cross_part = np.einsum("ijh,hj->i", model.cross, feats)
     np.testing.assert_allclose(full, own + cross_part, rtol=1e-12, atol=1e-15)
     assert history.shape[0] > m  # extra rows beyond the window must be ignored
     np.testing.assert_array_equal(full, model.predict_one_step(history[-m:]))
@@ -95,7 +96,7 @@ def test_fixed_lambdas_reproduce_manual_second_step(two_asset_panel):
         feats_s = build_har_features(two_asset_panel.values[:, src])
         X = np.column_stack([feats_s.daily, feats_s.weekly, feats_s.monthly])
         fit = fit_elastic_net(X, resid, PenaltySpec(lams[i], model.alpha))
-        np.testing.assert_array_equal(model.cross[i, 0], fit.coef)
+        np.testing.assert_array_equal(model.cross[i, src], fit.coef)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +118,8 @@ def test_cross_fits_match_standalone_fits_on_unscaled_designs(seed, K, N, log_la
             X = np.column_stack([np.column_stack([f.daily, f.weekly, f.monthly])
                                  for j, f in enumerate(feats) if j != i])
             fit = fit_elastic_net(X, resid, PenaltySpec(lams[i], model.alpha))
-            np.testing.assert_array_equal(model.cross[i], fit.coef.reshape(K - 1, 3))
+            np.testing.assert_array_equal(np.delete(model.cross[i], i, axis=0),
+                                          fit.coef.reshape(K - 1, 3))
             np.testing.assert_array_equal(model.own[i].as_array(),
                                           har.coefficients[i].as_array())
 
@@ -132,16 +134,16 @@ def test_residual_covariance_matches_stored(two_asset_panel):
 
 def test_recovers_planted_daily_edge(two_asset_panel):
     model = fit_hybrid(two_asset_panel, FitConfig())
-    assert model.dense_cross[0, 1, 0] > 0.05  # B -> A at the one-day horizon
+    assert model.cross[0, 1, 0] > 0.05  # B -> A at the one-day horizon
     net = spillover_network(model)
     assert any(e.source == "B" and e.target == "A" and e.horizon == "daily"
                for e in net.edges)
 
 
 def test_network_summary_hand_model():
-    cross = np.zeros((3, 2, 3))
-    cross[0, 0, 0] = 0.2    # B -> A daily
-    cross[0, 1, 2] = -0.1   # C -> A monthly
+    cross = np.zeros((3, 3, 3))
+    cross[0, 1, 0] = 0.2    # B -> A daily
+    cross[0, 2, 2] = -0.1   # C -> A monthly
     cross[2, 0, 1] = 0.05   # A -> C weekly
     model = small_model(cross, assets=("A", "B", "C"))
     net = spillover_network(model)
@@ -158,7 +160,7 @@ def test_network_summary_hand_model():
 def test_single_asset_panel(zero_cross_panel):
     solo = RvPanel(zero_cross_panel.dates, ("A",), zero_cross_panel.values[:, :1].copy())
     model = fit_hybrid(solo, FitConfig())
-    assert model.cross.shape == (1, 0, 3)
+    assert model.cross.shape == (1, 1, 3) and np.all(model.cross == 0.0)
     assert model.selected_lambda.tolist() == [0.0]
     net = spillover_network(model)
     assert net.edges == ()
@@ -191,6 +193,19 @@ def test_model_json_round_trip(two_asset_panel):
     history = two_asset_panel.values[-25:]
     np.testing.assert_array_equal(back.predict_one_step(history),
                                   model.predict_one_step(history))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 3), (3, 3, 3), (2, 2)])
+def test_model_rejects_a_cross_array_of_another_shape(shape):
+    with pytest.raises(ValueError, match="cross has shape"):
+        small_model(np.zeros(shape))
+
+
+def test_model_rejects_nonzero_self_entries():
+    cross = np.zeros((2, 2, 3))
+    cross[1, 1, 2] = 0.1
+    with pytest.raises(ValueError, match="nonzero self entries"):
+        small_model(cross)
 
 
 def test_model_from_dict_rejects_unknown_layout(two_asset_panel):

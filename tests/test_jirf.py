@@ -27,7 +27,7 @@ def make_model(cross=None, own=None, cov=None, assets=ASSETS, lags=(1, 2, 3)):
     if own is None:
         own = tuple(HarCoefficients(0.01, 0.35, 0.25, 0.20) for _ in range(K))
     if cross is None:
-        cross = np.zeros((K, K - 1, 3))
+        cross = np.zeros((K, K, 3))
     if cov is None:
         cov = np.eye(K) * 1e-4
     return HybridModel(assets=assets, own=own, cross=cross,
@@ -97,8 +97,8 @@ def test_horizon_zero_is_the_shock_itself():
 
 def test_hand_iterated_three_steps():
     # K=2, lags (1,2,3); B -> A daily only, a zero seed history
-    cross = np.zeros((2, 1, 3))
-    cross[0, 0, 0] = 0.5
+    cross = np.zeros((2, 2, 3))
+    cross[0, 1, 0] = 0.5
     own = (HarCoefficients(0.0, 0.4, 0.3, 0.2), HarCoefficients(0.0, 0.3, 0.3, 0.2))
     model = make_model(cross=cross, own=own, assets=("A", "B"))
     shock = np.array([0.0, 0.06])
@@ -120,7 +120,7 @@ def test_hand_iterated_three_steps():
 
 
 def test_seed_history_does_not_matter():
-    cross = np.zeros((3, 2, 3))
+    cross = np.zeros((3, 3, 3))
     cross[1, 0, 0] = 0.2
     cross[2, 1, 1] = -0.1
     model = make_model(cross=cross)
@@ -132,8 +132,8 @@ def test_seed_history_does_not_matter():
 
 
 def test_linearity_in_the_shock():
-    cross = np.zeros((3, 2, 3))
-    cross[0, 1, 0] = 0.3
+    cross = np.zeros((3, 3, 3))
+    cross[0, 2, 0] = 0.3
     model = make_model(cross=cross)
     s1 = np.array([0.02, 0.0, 0.0])
     s2 = np.array([0.0, 0.01, -0.005])
@@ -165,8 +165,8 @@ def test_responses_decay_for_stable_model():
 
 
 def test_cross_propagation_direction():
-    cross = np.zeros((3, 2, 3))
-    cross[0, 1, 0] = 0.4  # C -> A (sources of A are B, C)
+    cross = np.zeros((3, 3, 3))
+    cross[0, 2, 0] = 0.4  # C -> A
     model = make_model(cross=cross)
     path = jirf_for_group(model, ShockGroup("c", ("C",)), horizon=10)
     assert np.all(path.responses[1:, 0] > 0)     # A responds from horizon 1
@@ -208,8 +208,8 @@ def test_jirf_path_is_plain_data():
 
 
 def test_non_finite_level_names_first_horizon():
-    cross = np.zeros((2, 1, 3))
-    cross[0, 0, 0] = 1e300  # B -> A daily: A overflows one step after the shock
+    cross = np.zeros((2, 2, 3))
+    cross[0, 1, 0] = 1e300  # B -> A daily: A overflows one step after the shock
     model = make_model(cross=cross, assets=("A", "B"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning must not leak
@@ -227,12 +227,14 @@ def _stable_models(draw):
     betas = phi[:, None] * rng.dirichlet(np.ones(3), K)
     own = tuple(HarCoefficients(float(c), *map(float, b))
                 for c, b in zip(rng.uniform(0.005, 0.05, K), betas))
-    cross = rng.uniform(-1.0, 1.0, (K, K - 1, 3)) * (rng.random((K, K - 1, 3)) < 0.5)
-    row_abs = np.abs(cross).sum(axis=(1, 2))
-    cross *= (rng.uniform(0.0, 0.45, K) * phi / np.where(row_abs > 0, row_abs, 1.0))[:, None, None]
+    off = rng.uniform(-1.0, 1.0, (K, K - 1, 3)) * (rng.random((K, K - 1, 3)) < 0.5)
+    row_abs = np.abs(off).sum(axis=(1, 2))
+    off *= (rng.uniform(0.0, 0.45, K) * phi / np.where(row_abs > 0, row_abs, 1.0))[:, None, None]
+    cross = np.zeros((K, K, 3))
+    cross[~np.eye(K, dtype=bool)] = off.reshape(-1, 3)  # sources j != i in ascending order
     model = make_model(cross=cross, own=own, assets=tuple(f"X{i}" for i in range(K)),
                        lags=lags)
-    coef = model.dense_cross.copy()
+    coef = model.cross.copy()
     coef[np.arange(K), np.arange(K)] = betas
     history = rng.uniform(0.5, 1.0, (max(lags) + draw(st.integers(0, 5)), K))
     return model, coef, history, rng.standard_normal(K) * 0.05

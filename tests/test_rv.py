@@ -17,7 +17,7 @@ from volnet.rv import (
     YzConfig,
     read_rv_csv,
     rogers_satchell_var,
-    write_rv_csv,
+    rv_csv_text,
     yang_zhang_panel,
     yang_zhang_rv,
     yz_weight,
@@ -170,7 +170,7 @@ def test_csv_round_trip_exact(tmp_path):
     b = gbm_series("B", 80, 0.25, seed=4)
     rv = yang_zhang_panel(align_panel([a, b]))
     path = tmp_path / "rv.csv"
-    write_rv_csv(rv, path, header_comments=["config=deadbeef"])
+    path.write_text(rv_csv_text(rv, ["config=deadbeef"]))
     back = read_rv_csv(path)
     assert back.dates == rv.dates
     assert back.assets == rv.assets

@@ -110,8 +110,8 @@ def test_true_model_packaging():
     model = true_hybrid_model(spec)
     assert model.assets == spec.assets
     assert model.own == spec.own
-    assert model.dense_cross[0, 1, 1] == 0.15  # B -> A weekly
-    assert np.count_nonzero(model.dense_cross) == 1
+    assert model.cross[0, 1, 1] == 0.15  # B -> A weekly
+    assert np.count_nonzero(model.cross) == 1
     np.testing.assert_array_equal(model.residual_cov, spec.innovation_cov)
 
 
