@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PanelTooShort, TooManyReplicateFailures, VolnetError
+from .errors import InvalidConfig, PanelTooShort, TooManyReplicateFailures, VolnetError
 from .hybrid import FitConfig, HybridModel, fit_hybrid
 from .jirf import DEFAULT_HORIZON, ShockGroup, jirf_for_group
 from .rv import RvPanel
@@ -106,11 +106,16 @@ def bootstrap_jirf(rv: RvPanel, fit_cfg: FitConfig, fixed_lambdas: Sequence[floa
     """Percentile bands across replicates; the point path is the full-sample fit.
 
     Replicates that fail to fit (e.g. an explosive resample) are skipped and
-    counted; more than cfg.max_failure_rate of them aborts the run.
+    counted; more than cfg.max_failure_rate of them aborts the run. A given
+    point_model must hold the panel's assets in the panel's order, since its
+    per-asset penalties and responses are paired with the panel's columns.
     """
     groups = list(groups)
     if point_model is None:
         point_model = fit_hybrid(rv, fit_cfg, fixed_lambdas=fixed_lambdas)
+    elif point_model.assets != rv.assets:
+        raise InvalidConfig(f"model assets {list(point_model.assets)} differ from the "
+                            f"panel's {list(rv.assets)}")
     point = np.stack([
         jirf_for_group(point_model, g, horizon,
                        condition_complement=condition_complement).responses

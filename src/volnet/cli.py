@@ -96,6 +96,38 @@ def _n_jobs() -> int:
     return int(text)
 
 
+BAND_HEADER = "group,asset,horizon,point,lower,upper"
+
+
+def _check_bands(text: str, assets: Sequence[str]) -> None:
+    """Raise InvalidConfig naming the first line of a band CSV that is not laid
+    out as `volnet bootstrap` writes it for a model with these assets."""
+    lines = text.splitlines()
+    n = 0
+    while n < len(lines) and lines[n].startswith("#"):
+        n += 1
+    if n == len(lines) or lines[n] != BAND_HEADER:
+        raise InvalidConfig(f"bands line {n + 1}: expected the header {BAND_HEADER!r}")
+    for number, line in enumerate(lines[n + 1:], start=n + 2):
+        fields = line.split(",")
+        problem = None
+        if len(fields) != 6:
+            problem = f"{len(fields)} fields, not 6"
+        elif fields[1] not in assets:
+            problem = f"asset {fields[1]!r} is not one of {list(assets)}"
+        elif not (fields[2].isascii() and fields[2].isdigit()):
+            problem = f"horizon {fields[2]!r} is not an integer >= 0"
+        else:
+            try:
+                point, lower, upper = map(float, fields[3:])
+            except ValueError:
+                point = lower = upper = float("nan")
+            if not (np.isfinite([point, lower, upper]).all() and lower <= upper):
+                problem = "point, lower and upper must be finite numbers with lower <= upper"
+        if problem:
+            raise InvalidConfig(f"bands line {number}: {problem}")
+
+
 def _jirf_csv(model, groups: Sequence[jirf.ShockGroup], horizon: int,
               condition_complement: bool, comments: list[str]) -> str:
     rows = []
@@ -218,7 +250,7 @@ def cmd_bootstrap(args) -> int:
                 rows.append(f"{gname},{asset},{hzn},{_fmt(band.point[gi, hzn, k])},"
                             f"{_fmt(band.lower[gi, hzn, k])},{_fmt(band.upper[gi, hzn, k])}")
     comments = [f"config={h}", f"replicates={band.n_effective}", f"failed={band.n_failed}"]
-    _atomic_write(args.out, _csv_text(comments, "group,asset,horizon,point,lower,upper", rows))
+    _atomic_write(args.out, _csv_text(comments, BAND_HEADER, rows))
     return 0
 
 
@@ -254,6 +286,9 @@ def cmd_report(args) -> int:
     model = _load_model(args.model)
     # a bands file stands in for the groups' responses
     groups = _load_groups(args.groups, model.assets) if args.groups and not args.bands else []
+    if args.bands:
+        bands_text = Path(args.bands).read_text()
+        _check_bands(bands_text, model.assets)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net = spillover_network(model)
@@ -272,7 +307,6 @@ def cmd_report(args) -> int:
 
     figures = {"rv_series": "rv_series.csv", "coefficient_matrix": "coefficient_matrix.csv"}
     if args.bands:
-        bands_text = Path(args.bands).read_text()
         _atomic_write(out_dir / "jirf_bands.csv", bands_text)
         figures["jirf_bands"] = "jirf_bands.csv"
     elif groups:

@@ -154,8 +154,11 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, pen: PenaltySpec,
     if not converged:
         warnings.warn(f"feature-sign search did not converge in {max_iter} iterations",
                       DidNotConvergeWarning, stacklevel=2)
-    obj = float(y @ y) / M - q @ gamma + 0.5 * (gamma @ H @ gamma) + thr * np.abs(gamma).sum()
-    return ElasticNetFit(gamma / scale, it, converged, float(obj))
+    # from the residual: expanding the square cancels badly when the fit is close
+    resid = y - Xs @ gamma
+    obj = (float(resid @ resid) / M + 0.5 * pen.lam * (1.0 - pen.alpha) * float(gamma @ gamma)
+           + thr * float(np.abs(gamma).sum()))
+    return ElasticNetFit(gamma / scale, it, converged, obj)
 
 
 def _feature_sign_step(gamma: np.ndarray, sign: np.ndarray, active: np.ndarray,

@@ -79,7 +79,6 @@ class HybridModel:
     sample_start: dt.date | None = None
     sample_end: dt.date | None = None
     n_obs: int = 0
-    seed_tail: np.ndarray | None = None  # last max(lags) panel rows; default IRF seed
 
     def __post_init__(self):
         K = self.n_assets
@@ -155,9 +154,6 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
         har = HarFeatures(targets[:, i], feats[:, i, 0], feats[:, i, 1], feats[:, i, 2])
         coef, resid = fit_har_ols(har)
         own.append(coef)
-        if K == 1:
-            xi[:, i] = resid
-            continue
         own_cols = slice(3 * i, 3 * i + 3)
         Xs = np.delete(Fs, own_cols, axis=1)  # C-contiguous, like a standalone design
         if fixed_lambdas is not None:
@@ -181,7 +177,6 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
         assets=rv.assets, own=tuple(own), cross=cross, selected_lambda=lambdas,
         residual_cov=cov, lags=tuple(cfg.lags), alpha=cfg.alpha,
         sample_start=rv.dates[0], sample_end=rv.dates[-1], n_obs=M,
-        seed_tail=rv.values[-m:].copy(),
     )
 
 
@@ -254,7 +249,6 @@ def model_to_dict(model: HybridModel) -> dict:
         "sample_start": model.sample_start.isoformat() if model.sample_start else None,
         "sample_end": model.sample_end.isoformat() if model.sample_end else None,
         "n_obs": model.n_obs,
-        "seed_tail": model.seed_tail.tolist() if model.seed_tail is not None else None,
     }
 
 
@@ -283,7 +277,6 @@ def model_from_dict(d: dict) -> HybridModel:
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in lags)
             or not 0 < lags[0] < lags[1] < lags[2]):
         raise InvalidConfig(f"model lags must be three positive ascending integers, got {lags}")
-    m = lags[2]
     if len(d["own"]) != K or not all(isinstance(o, dict) for o in d["own"]):
         raise InvalidConfig(f"model own must hold one coefficient object per asset ({K})")
     own = _finite_array([[o["intercept"], o["beta_d"], o["beta_w"], o["beta_m"]]
@@ -292,9 +285,6 @@ def model_from_dict(d: dict) -> HybridModel:
     cov = _finite_array(d["residual_cov"], "residual_cov", (K, K))
     if not np.array_equal(cov, cov.T) or np.any(np.diag(cov) < 0.0):
         raise InvalidConfig("model residual_cov must be symmetric with a nonnegative diagonal")
-    seed_tail = None
-    if d.get("seed_tail") is not None:
-        seed_tail = _finite_array(d["seed_tail"], "seed_tail", (m, K))
     try:
         return HybridModel(
             assets=assets,
@@ -307,7 +297,6 @@ def model_from_dict(d: dict) -> HybridModel:
             sample_start=dt.date.fromisoformat(d["sample_start"]) if d["sample_start"] else None,
             sample_end=dt.date.fromisoformat(d["sample_end"]) if d["sample_end"] else None,
             n_obs=int(d["n_obs"]),
-            seed_tail=seed_tail,
         )
     except ValueError as exc:  # a nonzero self entry in cross, a bad date or count
         raise InvalidConfig(f"model {exc}") from None

@@ -3,13 +3,13 @@
 A shock pins every member of a group at one own standard deviation
 (sqrt of its residual variance) while non-members receive their conditional
 mean given the pinned members, computed from the residual covariance. The
-response path is the difference between a shocked and a baseline simulation
-run forward with zero innovations. Both paths advance together in one matrix
-recursion: each horizon is a single product of the model's lag operator
-(HybridModel.W) with the last max(lags) rows of the two paths. Because the
-fitted system is linear, the difference does not depend on the seed history.
+fitted system is linear, so the response to a shock is its deviation path
+whatever the starting state: the recursion starts from zero history with the
+shock at horizon 0, and each later horizon is a single product of the model's
+lag operator (HybridModel.W) with the last max(lags) deviations, with no
+intercepts. There is no baseline path and no seed history.
 
-No Cholesky ordering is involved, and simulated levels are never clamped
+No Cholesky ordering is involved, and simulated values are never clamped
 inside the response computation (clamping would break linearity).
 """
 
@@ -89,14 +89,12 @@ def joint_shock(sigma: np.ndarray, group: ShockGroup, assets: Sequence[str],
 
 
 def simulate_jirf(model: HybridModel, shock: np.ndarray, horizon: int = DEFAULT_HORIZON,
-                  seed_history: np.ndarray | None = None,
                   label: str = "shock") -> JirfPath:
     """Response paths over horizons 0..horizon for a given impact-day shock.
 
-    Runs baseline and shocked paths from the same seed history with zero
-    innovations, as the two columns of one (m + horizon + 1) x K x 2 array
-    advanced by one lag-operator product per horizon; the shock is added to
-    the shocked path's RV vector at horizon 0. A non-finite level raises
+    Runs the deviation recursion as one (m + horizon + 1) x K array whose
+    first m rows are zero and whose row m is the shock; each later row is one
+    lag-operator product with the m rows before it. A non-finite value raises
     NonFiniteSimulation naming the first horizon where one appears.
     """
     if horizon < 0:
@@ -110,34 +108,21 @@ def simulate_jirf(model: HybridModel, shock: np.ndarray, horizon: int = DEFAULT_
         raise ValueError(f"shock must be a finite length-{K} vector")
 
     m = max(model.lags)
-    if seed_history is None:
-        seed_history = np.zeros((m, K))
-    seed_history = np.asarray(seed_history, dtype=float)[-m:]
-
-    # levels[:, :, 0] is the baseline path, levels[:, :, 1] the shocked one
-    levels = np.empty((m + horizon + 1, K, 2))
-    levels[:m] = seed_history[:, :, None]
-    c = model.intercepts[:, None]
+    path = np.zeros((m + horizon + 1, K))
+    path[m] = shock
     W = model.W
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(m, m + horizon + 1):
-            levels[t] = c + W @ levels[t - m:t].reshape(m * K, 2)
-            if t == m:
-                levels[m, :, 1] += shock
-        bad = ~np.isfinite(levels[m:]).all(axis=(1, 2))
+        for t in range(m + 1, m + horizon + 1):
+            path[t] = W @ path[t - m:t].ravel()
+        bad = ~np.isfinite(path[m:]).all(axis=1)
         if bad.any():
             raise NonFiniteSimulation(
                 f"non-finite simulated value at horizon {int(np.argmax(bad))}")
-    responses = levels[m:, :, 1] - levels[m:, :, 0]
-    responses[0] = shock
-    return JirfPath(label, responses)
+    return JirfPath(label, path[m:])
 
 
 def jirf_for_group(model: HybridModel, group: ShockGroup,
                    horizon: int = DEFAULT_HORIZON,
-                   seed_history: np.ndarray | None = None,
                    condition_complement: bool = True) -> JirfPath:
     shock = joint_shock(model.residual_cov, group, model.assets, condition_complement)
-    if seed_history is None:
-        seed_history = model.seed_tail
-    return simulate_jirf(model, shock, horizon, seed_history, label=group.name)
+    return simulate_jirf(model, shock, horizon, label=group.name)

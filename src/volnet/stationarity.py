@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import norm
 
-from .errors import SeriesTooShort
+from .errors import RankDeficientDesign, SeriesTooShort
 
 MIN_LENGTH = 25
 
@@ -73,11 +73,20 @@ def mackinnon_pvalue(tau: float) -> float:
     return float(norm.cdf(sum(c * tau ** k for k, c in enumerate(coeffs))))
 
 
-def adf_test(series: np.ndarray, max_lags: int | None = None) -> AdfResult:
+def _checked_series(series: np.ndarray) -> np.ndarray:
+    """The series as floats, at least MIN_LENGTH long and not constant (a
+    constant series has no variation for either test to measure)."""
     y = np.asarray(series, dtype=float)
+    if len(y) < MIN_LENGTH:
+        raise SeriesTooShort(f"need >= {MIN_LENGTH} observations, got {len(y)}")
+    if np.all(y == y[0]):
+        raise RankDeficientDesign("series is constant")
+    return y
+
+
+def adf_test(series: np.ndarray, max_lags: int | None = None) -> AdfResult:
+    y = _checked_series(series)
     N = len(y)
-    if N < MIN_LENGTH:
-        raise SeriesTooShort(f"need >= {MIN_LENGTH} observations, got {N}")
     if max_lags is None:
         max_lags = int(np.ceil(12.0 * (N / 100.0) ** 0.25))
         max_lags = min(max_lags, N // 2 - 2)
@@ -110,10 +119,8 @@ def adf_test(series: np.ndarray, max_lags: int | None = None) -> AdfResult:
 
 
 def kpss_test(series: np.ndarray, n_lags: int | None = None) -> KpssResult:
-    y = np.asarray(series, dtype=float)
+    y = _checked_series(series)
     N = len(y)
-    if N < MIN_LENGTH:
-        raise SeriesTooShort(f"need >= {MIN_LENGTH} observations, got {N}")
     if n_lags is None:
         n_lags = min(int(np.ceil(12.0 * (N / 100.0) ** 0.25)), N - 1)
     if not 0 <= n_lags < N:

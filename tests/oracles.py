@@ -67,6 +67,36 @@ def ols_normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(X.T @ X, X.T @ y)
 
 
+def adf_naive(y: np.ndarray, max_lags: int) -> tuple[float, int]:
+    """ADF t-ratio on the lagged level and its AIC lag choice, by row loops.
+
+    The row for diff dy[j] = y[j+1] - y[j] is [y[j], dy[j-1] .. dy[j-p], 1].
+    AIC = n log(ssr/n) + 2(p + 2) compares p = 0..max_lags on the rows
+    j >= max_lags; the chosen p is refitted on the rows j >= p. OLS runs
+    through explicit normal equations.
+    """
+    dy = [y[j + 1] - y[j] for j in range(len(y) - 1)]
+
+    def rows(p: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+        X = [[y[j]] + [dy[j - i] for i in range(1, p + 1)] + [1.0]
+             for j in range(first, len(dy))]
+        return np.array(X), np.array(dy[first:])
+
+    aics = []
+    for p in range(max_lags + 1):
+        X, target = rows(p, max_lags)
+        resid = target - X @ ols_normal_equations(X, target)
+        n = len(target)
+        aics.append(n * math.log(float(resid @ resid) / n) + 2 * (p + 2))
+    best = int(np.argmin(aics))
+    X, target = rows(best, best)
+    inv = np.linalg.inv(X.T @ X)
+    beta = inv @ (X.T @ target)
+    resid = target - X @ beta
+    s2 = float(resid @ resid) / (len(target) - X.shape[1])
+    return float(beta[0] / math.sqrt(s2 * inv[0, 0])), best
+
+
 def quantile_sorted(samples: np.ndarray, q: float) -> float:
     """Linear interpolation between order statistics of a sorted copy."""
     s = np.sort(np.asarray(samples, dtype=float))
@@ -132,6 +162,23 @@ def jirf_deviation_naive(coef: np.ndarray, lags, shock: np.ndarray,
                     total += coef[i, j, h] * sum(path[t - lag:t, j]) / lag
             path[t, i] = total
     return path[m:]
+
+
+def level_response(step, history: np.ndarray, shock: np.ndarray,
+                   horizon: int) -> np.ndarray:
+    """(H+1) x K shocked-minus-baseline level path from a given history.
+
+    Both paths start from `history` and advance one day at a time through
+    step(history) -> next row, with zero innovations; the shocked path gets
+    the shock added on the impact day (horizon 0).
+    """
+    base = [np.asarray(row, dtype=float) for row in history]
+    shocked = list(base)
+    for h in range(horizon + 1):
+        base.append(step(np.array(base)))
+        shocked.append(step(np.array(shocked)) + (shock if h == 0 else 0.0))
+    n = len(history)
+    return np.array(shocked[n:]) - np.array(base[n:])
 
 
 def gbm_ohlc_arrays(n_days: int, sigma_annual: float, seed: int,

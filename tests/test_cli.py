@@ -377,7 +377,6 @@ MODEL_DEFECTS = {
     "cov_not_finite": _set("residual_cov", (0, 0), float("nan")),
     "cov_asymmetric": _set("residual_cov", (0, 1), 1.0),
     "cov_negative_variance": _set("residual_cov", (1, 1), -1e-4),
-    "seed_tail_short": lambda d: d.update(seed_tail=d["seed_tail"][1:]),
     "feature_order_unknown": lambda d: d.update(feature_order="x"),
 }
 
@@ -392,6 +391,72 @@ def test_invalid_model_json_rejected(workdir, tmp_path, capsys, defect):
                  "--out", str(tmp_path / "j.csv")]) == 1
     assert "volnet: code=InvalidConfig" in capsys.readouterr().err
     assert not (tmp_path / "j.csv").exists()
+
+
+def test_model_json_with_seed_tail_still_loads(workdir, tmp_path):
+    # older model files carry the last 22 panel rows; the reader ignores them
+    payload = json.loads(workdir["model"].read_text())
+    payload["seed_tail"] = rv.read_rv_csv(workdir["rv"]).values[-22:].tolist()
+    old = tmp_path / "old_model.json"
+    old.write_text(json.dumps(payload))
+    out = tmp_path / "j.csv"
+    assert main(["jirf", "--model", str(old), "--groups", str(workdir["groups"]),
+                 "--horizon", "6", "--out", str(out)]) == 0
+    assert out.read_bytes() == workdir["jirf"].read_bytes()
+    assert "seed_tail" not in json.loads(workdir["model"].read_text())
+
+
+def test_bootstrap_rejects_a_panel_with_other_assets(workdir, tmp_path, capsys):
+    panel = rv.read_rv_csv(workdir["rv"])
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text(rv.rv_csv_text(
+        rv.RvPanel(panel.dates, panel.assets[::-1], panel.values[:, ::-1].copy()), []))
+    out = tmp_path / "b.csv"
+    assert main(["bootstrap", "--rv", str(swapped), "--model", str(workdir["model"]),
+                 "--groups", str(workdir["groups"]), "--reps", "5", "--block", "50",
+                 "--seed", "3", "--horizon", "4", "--out", str(out)]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _replace_row(line_index: int, field: int, value: str):
+    """Band text with one field of one data row (0 = the first) replaced."""
+    def corrupt(text: str) -> str:
+        lines = text.splitlines()
+        first = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
+        fields = lines[first + line_index].split(",")
+        fields[field] = value
+        lines[first + line_index] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+    return corrupt
+
+
+BAND_DEFECTS = {
+    "not_a_band_file": lambda t: "not a band file\n",
+    "empty": lambda t: "",
+    "comments_only": lambda t: "# config=0123456789ab\n",
+    "header_renamed": lambda t: t.replace("point,lower,upper", "point,low,high"),
+    "five_fields": lambda t: t.rstrip("\n").rsplit(",", 1)[0] + "\n",
+    "asset_unknown": _replace_row(2, 1, "Z"),
+    "horizon_negative": _replace_row(0, 2, "-1"),
+    "horizon_fraction": _replace_row(1, 2, "1.5"),
+    "point_not_number": _replace_row(0, 3, "x"),
+    "point_nan": _replace_row(0, 3, "nan"),
+    "upper_infinite": _replace_row(3, 5, "inf"),
+    "lower_above_upper": _replace_row(0, 4, "1e9"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAND_DEFECTS))
+def test_report_rejects_a_malformed_band_file(workdir, tmp_path, capsys, defect):
+    bad = tmp_path / "bands.csv"
+    bad.write_text(BAND_DEFECTS[defect](workdir["boot"].read_text()))
+    out = tmp_path / "rep"
+    assert main(["report", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
+                 "--bands", str(bad), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "volnet: code=InvalidConfig" in err and re.search(r"bands line \d+", err)
+    assert not (out / "jirf_bands.csv").exists()
 
 
 def _bootstrap_bytes(workdir, out: Path, *extra: str) -> bytes:
@@ -437,6 +502,73 @@ def test_bootstrap_with_every_flag_keeps_its_bytes(workdir, tmp_path):
                         "horizon": 4, "condition_complement": True, "groups": groups,
                         "assets": payload["assets"]})
     assert comment_lines(tmp_path / "a.csv")[0] == f"# config={want}"
+
+
+def _spec_with(**changes):
+    return lambda d: {**d, **changes}
+
+
+def _spec_edit(key, index, value):
+    """Spec with d[key][index[0]]...[index[-1]] set to value (None: deleted)."""
+    def corrupt(d):
+        target = d[key]
+        for i in index[:-1]:
+            target = target[i]
+        if value is None:
+            del target[index[-1]]
+        else:
+            target[index[-1]] = value
+        return d
+    return corrupt
+
+
+SPEC_DEFECTS = {
+    "root_not_object": lambda d: [d],
+    "assets_string": _spec_with(assets="AB"),
+    "assets_duplicate": _spec_with(assets=["A", "A"]),
+    "assets_not_strings": _spec_with(assets=[1, 2]),
+    "length_fraction": _spec_with(length=2.7),
+    "length_negative": _spec_with(length=-5),
+    "length_bool": _spec_with(length=True),
+    "unknown_key": _spec_with(lenght=260),
+    "own_missing": lambda d: {k: v for k, v in d.items() if k != "own"},
+    "own_too_short": lambda d: {**d, "own": d["own"][:1]},
+    "own_entry_missing_beta": _spec_edit("own", (0, "beta_m"), None),
+    "own_not_number": _spec_edit("own", (1, "beta_d"), "0.4"),
+    "cov_ragged": _spec_edit("innovation_cov", (1, 1), None),
+    "cov_wrong_shape": _spec_with(innovation_cov=[[4e-4]]),
+    "cov_not_finite": _spec_edit("innovation_cov", (0, 0), float("nan")),
+    "cov_asymmetric": _spec_edit("innovation_cov", (0, 1), 3e-4),
+    "edge_unknown_asset": _spec_edit("cross", (0, "source"), "Z"),
+    "edge_unknown_horizon": _spec_edit("cross", (0, "horizon"), "fortnightly"),
+    "edge_value_not_number": _spec_edit("cross", (0, "value"), "0.3"),
+    "edge_extra_key": _spec_edit("cross", (0, "lag"), 1),
+    "seed_negative": _spec_with(seed=-1),
+    "burn_in_fraction": _spec_with(burn_in=10.5),
+    "floor_zero": _spec_with(floor=0.0),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SPEC_DEFECTS))
+def test_invalid_spec_json_rejected(workdir, tmp_path, capsys, defect):
+    payload = SPEC_DEFECTS[defect](json.loads(workdir["spec"].read_text()))
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "rv.csv"
+    assert main(["simulate", "--spec", str(bad), "--out", str(out)]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_rejects_a_constant_column(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    rows = "\n".join(f"2020-{1 + i // 28:02d}-{1 + i % 28:02d},0.2,{0.2 + 0.01 * (i % 7)}"
+                     for i in range(60))
+    flat.write_text("date,A,B\n" + rows + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["diagnose", "--rv", str(flat), "--out", str(out)]) == 1
+    assert "volnet: code=RankDeficientDesign" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_groups_must_be_a_mapping(workdir, tmp_path, capsys):

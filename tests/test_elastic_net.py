@@ -130,6 +130,18 @@ def test_objective_field_matches_helper():
     assert fit.objective == pytest.approx(objective(X, y, fit.coef, pen), rel=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_objective_field_is_accurate_for_a_near_exact_fit(seed):
+    # 8 rows, rank 7: the optimum leaves a residual far below y'y/M
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((8, 8)) * rng.uniform(0.1, 10.0, 8)
+    X[:, 1] = X[:, 0]
+    y = X @ rng.standard_normal(8) + rng.standard_normal(8)
+    pen = PenaltySpec(0.0, 0.0)
+    fit = fit_elastic_net(X, y, pen, tol=1e-9)
+    assert fit.objective == pytest.approx(objective(X, y, fit.coef, pen), rel=1e-12, abs=0.0)
+
+
 def test_zero_set_monotone_in_lambda_orthonormal_lasso():
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.standard_normal((60, 5)))

@@ -169,3 +169,17 @@ def test_report_rejects_rmse_below_mae(monkeypatch):
     monkeypatch.setattr(evaluate, "forecast_metrics", lambda actual, fc: (0.1, 0.2, 5.0))
     with pytest.raises(RuntimeError, match="RMSE .* below MAE"):
         evaluate.build_forecast_report("har", panel, np.full((5, 1), 0.2), 5)
+
+
+def test_metric_identities():
+    # acceptance 09's forecast-metric checks, which need only numpy
+    rmse, mae, mape = forecast_metrics(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0]))
+    assert rmse == float(np.sqrt(1.0 / 3.0)) and mae == 1.0 / 3.0
+    assert abs(mape - 100.0 / 9.0) <= 1e-12
+    assert (round(rmse, 5), round(mae, 5), round(mape, 3)) == (0.57735, 0.33333, 11.111)
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        n = int(rng.integers(3, 40))
+        actual = rng.uniform(0.1, 2.0, n)
+        r, m, _ = forecast_metrics(actual, actual + 0.3 * rng.standard_normal(n))
+        assert r >= m

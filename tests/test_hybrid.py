@@ -169,12 +169,22 @@ def test_single_asset_panel(zero_cross_panel):
     assert pred.shape == (1,) and np.isfinite(pred[0])
 
 
+def test_single_asset_fixed_lambda_is_recorded(zero_cross_panel):
+    # one asset runs the general path with an empty cross design
+    solo = RvPanel(zero_cross_panel.dates, ("A",), zero_cross_panel.values[:, :1].copy())
+    model = fit_hybrid(solo, fixed_lambdas=(0.01,))
+    assert model.selected_lambda.tolist() == [0.01]
+    assert np.all(model.cross == 0.0)
+    coef, resid = fit_har_ols(build_har_features(solo.values[:, 0]))
+    np.testing.assert_array_equal(model.own[0].as_array(), coef.as_array())
+    np.testing.assert_array_equal(model.residual_cov, np.cov(resid, ddof=1).reshape(1, 1))
+
+
 def test_sample_metadata(two_asset_panel):
     model = fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3))
     assert model.sample_start == two_asset_panel.dates[0]
     assert model.sample_end == two_asset_panel.dates[-1]
     assert model.n_obs == len(two_asset_panel.dates) - 22
-    np.testing.assert_array_equal(model.seed_tail, two_asset_panel.values[-22:])
 
 
 def test_model_json_round_trip(two_asset_panel):
@@ -187,7 +197,6 @@ def test_model_json_round_trip(two_asset_panel):
     np.testing.assert_array_equal(back.cross, model.cross)
     np.testing.assert_array_equal(back.selected_lambda, model.selected_lambda)
     np.testing.assert_array_equal(back.residual_cov, model.residual_cov)
-    np.testing.assert_array_equal(back.seed_tail, model.seed_tail)
     assert back.sample_start == model.sample_start
     assert back.sample_end == model.sample_end
     history = two_asset_panel.values[-25:]
