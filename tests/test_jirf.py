@@ -119,6 +119,19 @@ def test_hand_iterated_three_steps():
     np.testing.assert_allclose(path.responses, np.array(expected), rtol=1e-12, atol=1e-15)
 
 
+def test_seed_history_does_not_matter():
+    cross = np.zeros((3, 3, 3))
+    cross[1, 0, 0] = 0.2
+    cross[2, 1, 1] = -0.1
+    model = make_model(cross=cross)
+    shock = np.array([0.03, 0.0, 0.0])
+    rng = np.random.default_rng(5)
+    got = simulate_jirf(model, shock, horizon=20).responses
+    for history in (rng.random((3, 3)), 10.0 * rng.random((5, 3))):
+        levels = level_response(model.predict_one_step, history, shock, horizon=20)
+        np.testing.assert_allclose(levels, got, atol=1e-10)
+
+
 def test_linearity_in_the_shock():
     cross = np.zeros((3, 3, 3))
     cross[0, 2, 0] = 0.3
