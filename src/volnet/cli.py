@@ -281,11 +281,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # the responses come from --groups over --horizon days, or from a bands file
+    if (args.bands and args.groups) or (args.horizon is not None and not args.groups):
+        raise InvalidConfig("report takes --groups (and --horizon) or --bands, not both, "
+                            "and --horizon only with --groups")
+    horizon = jirf.DEFAULT_HORIZON if args.horizon is None else args.horizon
     cfg = _run_config(args)
     panel = rv.read_rv_csv(args.rv)
     model = _load_model(args.model)
-    # a bands file stands in for the groups' responses
-    groups = _load_groups(args.groups, model.assets) if args.groups and not args.bands else []
+    groups = _load_groups(args.groups, model.assets) if args.groups else []
     if args.bands:
         bands_text = Path(args.bands).read_text()
         _check_bands(bands_text, model.assets)
@@ -293,7 +297,7 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     net = spillover_network(model)
     h = config_hash({"cmd": "report", "assets": list(model.assets),
-                     "horizon": args.horizon,
+                     "horizon": horizon,
                      "condition_complement": cfg.condition_complement,
                      "groups": {g.name: list(g.members) for g in groups}})
 
@@ -311,7 +315,7 @@ def cmd_report(args) -> int:
         figures["jirf_bands"] = "jirf_bands.csv"
     elif groups:
         _atomic_write(out_dir / "jirf_paths.csv",
-                      _jirf_csv(model, groups, args.horizon, cfg.condition_complement,
+                      _jirf_csv(model, groups, horizon, cfg.condition_complement,
                                 [f"config={h}"]))
         figures["jirf_paths"] = "jirf_paths.csv"
 
@@ -402,8 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rv", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--groups")
-    p.add_argument("--bands", help="bootstrap band CSV to include as the JIRF figure")
-    p.add_argument("--horizon", type=int, default=jirf.DEFAULT_HORIZON)
+    p.add_argument("--bands", help="bootstrap band CSV to include as the JIRF figure; "
+                   "excludes --groups")
+    p.add_argument("--horizon", type=int,
+                   help=f"with --groups only; default: {jirf.DEFAULT_HORIZON}")
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_report)

@@ -33,19 +33,18 @@ def split_train_test(panel: RvPanel, ratio: float) -> tuple[RvPanel, RvPanel]:
 def rolling_forecast(model, panel: RvPanel, test_start: int) -> np.ndarray:
     """One-step forecasts for rows test_start..N-1 of the full panel.
 
-    `model` is anything with predict_one_step(history) and lags, fitted on
-    rows before test_start; parameters stay fixed while the history window
-    rolls forward.
+    `model` is a `har.HarStep` (the univariate benchmark or the spillover
+    model) fitted on rows before test_start. Its parameters stay fixed while
+    the max(lags)-row window rolls forward; the forecast for row t is one
+    lag-operator step from rows t - max(lags)..t-1, all rows in one
+    `model.predict` call, the same bits as `model.predict_one_step` per row.
     """
     m = max(model.lags)
     if test_start < m:
         raise HistoryTooShort(f"test_start {test_start} < max lag {m}")
     if test_start >= len(panel):
         raise ValueError(f"test_start {test_start} beyond panel length {len(panel)}")
-    out = np.empty((len(panel) - test_start, panel.n_assets))
-    for i, t in enumerate(range(test_start, len(panel))):
-        out[i] = model.predict_one_step(panel.values[t - m:t])
-    return out
+    return model.predict(panel.values[test_start - m:-1])
 
 
 def forecast_metrics(actual: np.ndarray, forecast: np.ndarray) -> tuple[float, float, float]:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import datetime as dt
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HistoryTooShort, RankDeficientDesign, SeriesTooShort
 from .rv import RvPanel, RvSeries
@@ -116,31 +118,68 @@ def fit_har_ols(features: HarFeatures) -> tuple[HarCoefficients, np.ndarray]:
     return coef, features.target - X @ beta
 
 
+class HarStep:
+    """One HAR-X step, intercepts + W @ the last max(lags) rows, for models with
+    `assets`, `own` (HarCoefficients per asset), `lags` and, for the spillover
+    model, a K x K x 3 `cross` block; the univariate benchmark's block is zero.
+    """
+
+    @property
+    def n_assets(self) -> int:
+        return len(self.assets)
+
+    @cached_property
+    def intercepts(self) -> np.ndarray:
+        return np.array([c.intercept for c in self.own])
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """K x (m*K) lag operator, m = max(lags); not serialized.
+
+        Column (m - p)*K + j holds the weight of asset j's value p days back,
+        sum over horizons h with p <= L_h of coef[i, j, h] / L_h, where coef is
+        cross with the own betas on the diagonal. One step of the model
+        is then intercepts + W @ history[-m:].ravel().
+        """
+        K = self.n_assets
+        m = max(self.lags)
+        coef = np.array(getattr(self, "cross", np.zeros((K, K, 3))), dtype=float)
+        for i, c in enumerate(self.own):
+            coef[i, i] += (c.beta_d, c.beta_w, c.beta_m)
+        W = np.zeros((K, m, K))
+        for h, lag in enumerate(self.lags):
+            W[:, m - lag:, :] += (coef[:, :, h] / lag)[:, None, :]
+        return W.reshape(K, m * K)
+
+    def predict(self, values: np.ndarray) -> np.ndarray:
+        """(T - m + 1) x K predictions from a T x K panel: row r is the step from
+        the window values[r:r + m], a prediction for the day after it."""
+        values = np.ascontiguousarray(values, dtype=float)
+        m = max(self.lags)
+        K = self.n_assets
+        if values.ndim != 2 or values.shape[0] < m or values.shape[1] != K:
+            raise HistoryTooShort(f"need >= {m} rows x {K} assets")
+        windows = sliding_window_view(values, m, axis=0).transpose(0, 2, 1).reshape(-1, m * K)
+        # einsum, not a BLAS product: a window gets the same bits however many
+        # windows share the call, so predict_one_step is exactly one row of this
+        return self.intercepts + np.einsum("nj,kj->nk", windows, self.W)
+
+    def predict_one_step(self, history: np.ndarray) -> np.ndarray:
+        """Next-day RV vector from the last max(lags) rows of a T x K history."""
+        history = np.asarray(history, dtype=float)
+        return self.predict(history[-max(self.lags):] if history.ndim == 2 else history)[0]
+
+
 @dataclass(frozen=True)
-class HarModelSet:
+class HarModelSet(HarStep):
     """Independent per-asset HAR fits; the no-spillover benchmark model."""
 
     assets: tuple[str, ...]
-    coefficients: tuple[HarCoefficients, ...]
+    own: tuple[HarCoefficients, ...]
     lags: tuple[int, int, int] = DEFAULT_LAGS
-
-    def predict_one_step(self, history: np.ndarray) -> np.ndarray:
-        history = np.asarray(history, dtype=float)
-        m = max(self.lags)
-        if history.ndim != 2 or history.shape[0] < m:
-            raise HistoryTooShort(f"need >= {m} history rows")
-        tail = history[-m:]
-        out = np.empty(len(self.assets))
-        for i, c in enumerate(self.coefficients):
-            comps = [tail[m - lag:, i].mean() for lag in self.lags]
-            out[i] = c.intercept + c.beta_d * comps[0] + c.beta_w * comps[1] + c.beta_m * comps[2]
-        return out
 
 
 def fit_har_panel(panel: RvPanel, lags: Sequence[int] = DEFAULT_LAGS) -> HarModelSet:
-    coefs = []
-    for i in range(panel.n_assets):
-        feats = build_har_features(panel.values[:, i], lags)
-        coef, _ = fit_har_ols(feats)
-        coefs.append(coef)
-    return HarModelSet(panel.assets, tuple(coefs), tuple(lags))
+    own = tuple(fit_har_ols(build_har_features(panel.values[:, i], lags))[0]
+                for i in range(panel.n_assets))
+    return HarModelSet(panel.assets, own, tuple(lags))

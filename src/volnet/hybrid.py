@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .elastic_net import (
     DEFAULT_MAX_ITER,
@@ -33,8 +31,8 @@ from .elastic_net import (
     default_lambda_grid,
     fit_elastic_net,
 )
-from .errors import HistoryTooShort, InvalidConfig
-from .har import DEFAULT_LAGS, HarCoefficients, HarFeatures, fit_har_ols, lag_means
+from .errors import InvalidConfig
+from .har import DEFAULT_LAGS, HarCoefficients, HarFeatures, HarStep, fit_har_ols, lag_means
 from .rv import RvPanel
 
 MODEL_SCHEMA = "volnet-model-v1"
@@ -68,7 +66,7 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
-class HybridModel:
+class HybridModel(HarStep):
     assets: tuple[str, ...]
     own: tuple[HarCoefficients, ...]
     cross: np.ndarray           # K x K x 3, [target, source, horizon]; zero diagonal
@@ -86,41 +84,6 @@ class HybridModel:
             raise ValueError(f"cross has shape {self.cross.shape}, expected {(K, K, 3)}")
         if np.diagonal(self.cross).any():
             raise ValueError("cross has nonzero self entries")
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
-
-    @cached_property
-    def intercepts(self) -> np.ndarray:
-        return np.array([c.intercept for c in self.own])
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        """K x (m*K) lag operator, m = max(lags); not serialized.
-
-        Column (m - p)*K + j holds the weight of asset j's value p days back,
-        sum over horizons h with p <= L_h of coef[i, j, h] / L_h, where coef is
-        cross with the own betas on the diagonal. One step of the model
-        is then intercepts + W @ history[-m:].ravel().
-        """
-        K = self.n_assets
-        m = max(self.lags)
-        coef = self.cross.copy()
-        for i, c in enumerate(self.own):
-            coef[i, i] += (c.beta_d, c.beta_w, c.beta_m)
-        W = np.zeros((K, m, K))
-        for h, lag in enumerate(self.lags):
-            W[:, m - lag:, :] += (coef[:, :, h] / lag)[:, None, :]
-        return W.reshape(K, m * K)
-
-    def predict_one_step(self, history: np.ndarray) -> np.ndarray:
-        """Next-day RV vector from the last max(lags) rows of a T x K history."""
-        history = np.asarray(history, dtype=float)
-        m = max(self.lags)
-        if history.ndim != 2 or history.shape[0] < m or history.shape[1] != self.n_assets:
-            raise HistoryTooShort(f"need >= {m} rows x {self.n_assets} assets")
-        return self.intercepts + self.W @ history[-m:].ravel()
 
 
 def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
@@ -184,9 +147,7 @@ def residual_covariance(model: HybridModel, rv: RvPanel) -> np.ndarray:
     """Sample covariance (M-1 denominator) of in-sample one-step residuals."""
     m = max(model.lags)
     K = model.n_assets
-    windows = sliding_window_view(rv.values, m, axis=0)[:-1]  # M x K x m
-    pred = model.intercepts + windows.transpose(0, 2, 1).reshape(-1, m * K) @ model.W.T
-    resid = rv.values[m:] - pred
+    resid = rv.values[m:] - model.predict(rv.values[:-1])
     cov = np.cov(resid, rowvar=False, ddof=1).reshape(K, K)
     return 0.5 * (cov + cov.T)
 

@@ -1,6 +1,7 @@
 """Synthetic RV panel generation from a known spillover structure.
 
-Simulates the combined own-lag + cross-lag recursion forward with Gaussian
+Simulates the HAR-X recursion of `true_hybrid_model(spec)` forward, one
+lag-operator step (intercepts + W @ the last 22 days) per day, with Gaussian
 innovations of a given covariance, after a burn-in, flooring values at a
 small positive constant so the output looks like volatility. Because the
 data-generating coefficients are known exactly, generated panels serve as
@@ -81,39 +82,25 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _cross_tensor(spec: SyntheticSpec) -> np.ndarray:
-    K = len(spec.assets)
-    idx = {a: i for i, a in enumerate(spec.assets)}
-    gamma = np.zeros((K, K, 3))
-    for e in spec.cross:
-        gamma[idx[e.target], idx[e.source], HORIZON_LABELS.index(e.horizon)] = e.value
-    return gamma
-
-
 def generate_synthetic_panel(spec: SyntheticSpec) -> RvPanel:
     K = len(spec.assets)
     for a, c in zip(spec.assets, spec.own):
         if c.persistence >= 1.0:
             raise ExplosiveSpec(f"{a}: persistence {c.persistence:.4f} >= 1")
     B = _psd_factor(spec.innovation_cov)
-    gamma = _cross_tensor(spec)
-    intercepts = np.array([c.intercept for c in spec.own])
-    own_beta = np.array([[c.beta_d, c.beta_w, c.beta_m] for c in spec.own])
-    m = max(DEFAULT_LAGS)
+    model = true_hybrid_model(spec)
+    m = max(model.lags)
 
     rng = np.random.default_rng(spec.seed)
     total = spec.burn_in + spec.length
     eps = rng.standard_normal((total, K)) @ B.T
 
     values = np.empty((m + total, K))
-    base = intercepts / (1.0 - np.array([c.persistence for c in spec.own]))
+    base = model.intercepts / (1.0 - np.array([c.persistence for c in spec.own]))
     values[:m] = np.maximum(base, spec.floor)
     for t in range(m, m + total):
-        tail = values[t - m:t]
-        feats = np.stack([tail[m - lag:].mean(axis=0) for lag in DEFAULT_LAGS])  # 3 x K
-        nxt = (intercepts + np.einsum("ih,hi->i", own_beta, feats)
-               + np.einsum("ijh,hj->i", gamma, feats) + eps[t - m])
-        values[t] = np.maximum(nxt, spec.floor)
+        values[t] = np.maximum(model.intercepts + model.W @ values[t - m:t].ravel()
+                               + eps[t - m], spec.floor)
 
     dates = tuple(_START_DATE + dt.timedelta(days=i) for i in range(spec.length))
     return RvPanel(dates, spec.assets, values[-spec.length:])
@@ -123,10 +110,15 @@ def true_hybrid_model(spec: SyntheticSpec) -> HybridModel:
     """The generating coefficients packaged as a fitted-model object.
 
     Serves as ground truth for impulse responses: residual covariance is the
-    innovation covariance itself.
+    innovation covariance itself. Its lag operator also drives the simulator.
     """
+    K = len(spec.assets)
+    idx = {a: i for i, a in enumerate(spec.assets)}
+    cross = np.zeros((K, K, 3))
+    for e in spec.cross:
+        cross[idx[e.target], idx[e.source], HORIZON_LABELS.index(e.horizon)] = e.value
     return HybridModel(
-        assets=spec.assets, own=spec.own, cross=_cross_tensor(spec),
+        assets=spec.assets, own=spec.own, cross=cross,
         selected_lambda=np.zeros(len(spec.assets)),
         residual_cov=np.asarray(spec.innovation_cov, dtype=float),
         lags=DEFAULT_LAGS, alpha=0.5,

@@ -143,6 +143,43 @@ def hybrid_step_per_lag_means(intercepts: np.ndarray, coef: np.ndarray, lags,
     return intercepts + np.einsum("ijh,hj->i", coef, feats)
 
 
+def harx_step_naive(intercepts: np.ndarray, coef: np.ndarray, lags,
+                    history: np.ndarray) -> np.ndarray:
+    """One model step, asset by asset, from trailing means of each column.
+
+    Target i gets intercepts[i] plus, per source j and horizon h,
+    coef[i, j, h] times the mean of j's last lags[h] values; coef is
+    K x K x 3 with the own betas on the diagonal (zero off it for the
+    univariate model).
+    """
+    K = len(intercepts)
+    out = np.empty(K)
+    for i in range(K):
+        total = float(intercepts[i])
+        for j in range(K):
+            for h, lag in enumerate(lags):
+                total += coef[i, j, h] * history[len(history) - lag:, j].mean()
+        out[i] = total
+    return out
+
+
+def simulate_harx_naive(intercepts: np.ndarray, coef: np.ndarray, lags,
+                        eps: np.ndarray, floor: float) -> np.ndarray:
+    """T x K floored recursion driven by the T x K innovations eps.
+
+    The first max(lags) days sit at max(intercept / (1 - own persistence),
+    floor); each later day is max(harx_step_naive(...) + eps[t], floor).
+    Returns the T simulated days, without the starting block.
+    """
+    m = max(lags)
+    start = intercepts / (1.0 - np.array([coef[i, i].sum() for i in range(len(intercepts))]))
+    values = [np.maximum(start, floor)] * m
+    for e in eps:
+        step = harx_step_naive(intercepts, coef, lags, np.array(values[-m:]))
+        values.append(np.maximum(step + e, floor))
+    return np.array(values[m:])
+
+
 def jirf_deviation_naive(coef: np.ndarray, lags, shock: np.ndarray,
                          horizon: int) -> np.ndarray:
     """(H+1) x K deviation path of the linear system after an impact-day shock.

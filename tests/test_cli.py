@@ -228,6 +228,19 @@ def test_report_with_precomputed_bands(workdir, tmp_path):
     assert summary["figures"]["jirf_bands"] == "jirf_bands.csv"
 
 
+@pytest.mark.parametrize("extra", [["--bands", "BANDS", "--groups", "/nonexistent/groups.json"],
+                                   ["--bands", "BANDS", "--horizon", "7"],
+                                   ["--horizon", "7"]],
+                         ids=["bands_groups", "bands_horizon", "horizon_without_groups"])
+def test_report_refuses_flags_it_would_ignore(workdir, tmp_path, capsys, extra):
+    extra = [str(workdir["boot"]) if a == "BANDS" else a for a in extra]
+    out = tmp_path / "rep"
+    assert main(["report", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
+                 *extra, "--out-dir", str(out)]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bootstrap_deterministic_across_thread_env(workdir, tmp_path, monkeypatch):
     args = ["bootstrap", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
             "--groups", str(workdir["groups"]), "--reps", "4", "--block", "60",

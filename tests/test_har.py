@@ -7,14 +7,16 @@ from volnet.errors import HistoryTooShort, RankDeficientDesign, SeriesTooShort
 from volnet.har import (
     HarCoefficients,
     HarFeatures,
+    HarModelSet,
     build_har_features,
     fit_har_ols,
     fit_har_panel,
     lag_means,
 )
+from volnet.hybrid import HybridModel
 from volnet.synthetic import SyntheticSpec, generate_synthetic_panel
 
-from oracles import har_features_naive, lag_means_naive, ols_normal_equations
+from oracles import har_features_naive, harx_step_naive, lag_means_naive, ols_normal_equations
 
 
 def random_rv(n, seed):
@@ -176,12 +178,46 @@ def test_har_model_set_prediction_and_panel_fit(zero_cross_panel):
     # per-asset equality with univariate fits
     for i in range(3):
         solo, _ = fit_har_ols(build_har_features(zero_cross_panel.values[:, i]))
-        assert model.coefficients[i] == solo
+        assert model.own[i] == solo
     hist = zero_cross_panel.values[-22:]
     pred = model.predict_one_step(hist)
-    for i, c in enumerate(model.coefficients):
+    for i, c in enumerate(model.own):
         manual = (c.intercept + c.beta_d * hist[-1, i] + c.beta_w * hist[-5:, i].mean()
                   + c.beta_m * hist[-22:, i].mean())
         assert pred[i] == pytest.approx(manual, rel=1e-12)
     with pytest.raises(HistoryTooShort):
         model.predict_one_step(hist[:10])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+       st.lists(st.integers(1, 30), min_size=3, max_size=3, unique=True),
+       st.integers(0, 25), st.booleans())
+def test_windowed_predict_is_the_one_step_and_the_trailing_mean_loop(seed, K, lags, extra,
+                                                                     univariate):
+    lags = tuple(sorted(lags))
+    m = max(lags)
+    rng = np.random.default_rng(seed)
+    assets = tuple(f"A{i}" for i in range(K))
+    own = tuple(HarCoefficients(*map(float, rng.normal(0.0, 0.5, 4))) for _ in range(K))
+    coef = np.zeros((K, K, 3))
+    if univariate:
+        model = HarModelSet(assets, own, lags)
+    else:
+        coef[:] = rng.normal(0.0, 0.3, (K, K, 3)) * (rng.random((K, K, 3)) < 0.5)
+        coef[np.arange(K), np.arange(K)] = 0.0
+        model = HybridModel(assets, own, coef.copy(), np.zeros(K), np.eye(K), lags)
+    for i, c in enumerate(own):
+        coef[i, i] = (c.beta_d, c.beta_w, c.beta_m)
+    values = np.exp(rng.normal(-1.5, 0.5, (m + extra, K)))
+
+    pred = model.predict(values)
+    assert pred.shape == (extra + 1, K)
+    intercepts = np.array([c.intercept for c in own])
+    for r in range(extra + 1):
+        window = values[r:r + m]
+        np.testing.assert_array_equal(pred[r], model.predict_one_step(window))
+        want = harx_step_naive(intercepts, coef, lags, window)
+        # relative to the size of the terms, since signed terms may cancel
+        size = harx_step_naive(np.abs(intercepts), np.abs(coef), lags, window)
+        assert np.all(np.abs(pred[r] - want) <= 1e-12 * size)

@@ -34,7 +34,7 @@ def small_model(cross: np.ndarray, assets=("A", "B"), lags=(1, 2, 3)) -> HybridM
 def test_step_one_matches_univariate_har(zero_cross_panel):
     model = fit_hybrid(zero_cross_panel, FitConfig())
     benchmark = fit_har_panel(zero_cross_panel)
-    for got, want in zip(model.own, benchmark.coefficients):
+    for got, want in zip(model.own, benchmark.own):
         np.testing.assert_array_equal(got.as_array(), want.as_array())
 
 
@@ -121,7 +121,7 @@ def test_cross_fits_match_standalone_fits_on_unscaled_designs(seed, K, N, log_la
             np.testing.assert_array_equal(np.delete(model.cross[i], i, axis=0),
                                           fit.coef.reshape(K - 1, 3))
             np.testing.assert_array_equal(model.own[i].as_array(),
-                                          har.coefficients[i].as_array())
+                                          har.own[i].as_array())
 
 
 def test_residual_covariance_matches_stored(two_asset_panel):
@@ -232,3 +232,15 @@ def test_predict_history_validation(two_asset_panel):
         model.predict_one_step(two_asset_panel.values[-21:])
     with pytest.raises(HistoryTooShort):
         model.predict_one_step(two_asset_panel.values[-30:, :1])
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "har"])
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_predict_rejects_a_history_of_the_wrong_width(two_asset_panel, kind, n_cols):
+    model = (fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3)) if kind == "hybrid"
+             else fit_har_panel(two_asset_panel))
+    history = np.tile(two_asset_panel.values[-30:], 2)[:, :n_cols]  # K - 1 and K + 1 columns
+    with pytest.raises(HistoryTooShort):
+        model.predict_one_step(history)
+    with pytest.raises(HistoryTooShort):
+        model.predict(history)

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volnet.errors import (
     DuplicateDate,
@@ -134,3 +136,19 @@ def test_align_length_bounded_and_order_preserved():
 def test_bar_invariant_checked_at_construction():
     with pytest.raises(PriceInvariantViolation):
         OhlcBar(dt.date(2020, 1, 1), 100.0, 100.5, 99.0, 101.0)  # high < close
+
+
+# ties and non-positive values come up often enough to probe the boundaries
+_PRICES = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]) | st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PRICES, _PRICES, _PRICES, _PRICES)
+def test_bar_accepted_exactly_when_positive_and_bracketed(o, h, l, c):
+    valid = min(o, h, l, c) > 0 and l <= min(o, c) and h >= max(o, c)
+    if valid:
+        bar = OhlcBar(dt.date(2020, 1, 1), o, h, l, c)
+        assert (bar.open, bar.high, bar.low, bar.close) == (o, h, l, c)
+    else:
+        with pytest.raises(PriceInvariantViolation):
+            OhlcBar(dt.date(2020, 1, 1), o, h, l, c)

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import skew
 
 from volnet.errors import (
@@ -117,6 +119,32 @@ def test_scale_invariance():
     a = yang_zhang_rv(s).values
     b = yang_zhang_rv(scaled).values
     np.testing.assert_allclose(a, b, rtol=1e-10)
+
+
+_GBM = st.tuples(st.integers(0, 2**32 - 1), st.integers(32, 120), st.floats(0.05, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GBM, st.floats(-3.0, 3.0))
+def test_rv_unchanged_when_prices_are_rescaled(gbm, log_c):
+    seed, n, sigma = gbm
+    c = 10.0 ** log_c
+    o, h, l, cl = gbm_ohlc_arrays(n, sigma, seed)
+    base = yang_zhang_rv(OhlcSeries("A", make_dates(n), o, h, l, cl)).values
+    scaled = yang_zhang_rv(OhlcSeries("A", make_dates(n), c * o, c * h, c * l, c * cl)).values
+    np.testing.assert_allclose(scaled, base, rtol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GBM, st.floats(0.2, 5.0))
+def test_rv_scales_with_the_power_of_prices(gbm, c):
+    """Prices**c multiply every log return, so every variance term, by c**2."""
+    seed, n, sigma = gbm
+    o, h, l, cl = gbm_ohlc_arrays(n, sigma, seed)
+    base = yang_zhang_rv(OhlcSeries("A", make_dates(n), o, h, l, cl)).values
+    powered = yang_zhang_rv(OhlcSeries("A", make_dates(n), o ** c, h ** c, l ** c,
+                                       cl ** c)).values
+    np.testing.assert_allclose(powered, c * base, rtol=1e-10)
 
 
 def test_gbm_calibration_smoke():

@@ -9,11 +9,14 @@ from volnet.har import HarCoefficients
 from volnet.synthetic import (
     PlantedEdge,
     SyntheticSpec,
+    _psd_factor,
     generate_synthetic_panel,
     spec_from_dict,
     spec_to_dict,
     true_hybrid_model,
 )
+
+from oracles import simulate_harx_naive
 
 
 def base_spec(**overrides):
@@ -76,6 +79,39 @@ def test_level_settles_near_stationary_mean():
     for i, c in enumerate(spec.own):
         target = c.intercept / (1.0 - c.persistence)
         assert abs(panel.values[:, i].mean() - target) < 0.25 * target
+
+
+ORACLE_SPECS = {
+    "one_asset": base_spec(assets=("A",), own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),),
+                           innovation_cov=np.array([[4e-4]]), cross=(), length=300,
+                           burn_in=100, seed=3),
+    "two_assets": base_spec(length=300, burn_in=100),
+    "floor_binds": base_spec(
+        assets=("A", "B", "C"),
+        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
+             HarCoefficients(0.015, 0.35, 0.30, 0.25),
+             HarCoefficients(0.012, 0.30, 0.35, 0.25)),
+        innovation_cov=np.array([[9e-4, 2e-4, 0.0], [2e-4, 9e-4, 1e-4], [0.0, 1e-4, 9e-4]]),
+        cross=(PlantedEdge("B", "A", "daily", 0.20), PlantedEdge("C", "B", "monthly", 0.10)),
+        length=300, burn_in=100, floor=0.09, seed=11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_panel_matches_the_trailing_mean_recursion(name):
+    spec = ORACLE_SPECS[name]
+    K = len(spec.assets)
+    coef = true_hybrid_model(spec).cross.copy()
+    for i, c in enumerate(spec.own):
+        coef[i, i] = (c.beta_d, c.beta_w, c.beta_m)
+    eps = (np.random.default_rng(spec.seed).standard_normal((spec.burn_in + spec.length, K))
+           @ _psd_factor(spec.innovation_cov).T)
+    want = simulate_harx_naive(np.array([c.intercept for c in spec.own]), coef, (1, 5, 22),
+                               eps, spec.floor)[-spec.length:]
+    got = generate_synthetic_panel(spec).values
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    if name == "floor_binds":
+        assert np.any(got == spec.floor) and np.any(got > spec.floor)
 
 
 def test_innovations_recoverable_through_true_model():
