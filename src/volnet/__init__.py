@@ -14,7 +14,6 @@ from .elastic_net import (
     cross_validate_lambda,
     default_lambda_grid,
     fit_elastic_net,
-    soft_threshold,
 )
 from .errors import VolnetError
 from .evaluate import (
@@ -37,7 +36,6 @@ from .hybrid import (
     HybridModel,
     NetworkSummary,
     fit_hybrid,
-    residual_covariance,
     spillover_network,
 )
 from .ingest import OhlcBar, OhlcPanel, OhlcSeries, align_panel, load_ohlc_csv
@@ -47,7 +45,6 @@ from .rv import (
     RvSeries,
     YzConfig,
     read_rv_csv,
-    rogers_satchell_var,
     rv_csv_text,
     yang_zhang_panel,
     yang_zhang_rv,
@@ -61,17 +58,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BootstrapConfig", "JirfBand", "block_resample", "bootstrap_jirf",
     "CvResult", "ElasticNetFit", "PenaltySpec", "cross_validate_lambda",
-    "default_lambda_grid", "fit_elastic_net", "soft_threshold",
+    "default_lambda_grid", "fit_elastic_net",
     "VolnetError",
     "ForecastReport", "build_forecast_report", "forecast_metrics",
     "rolling_forecast", "split_train_test",
     "HarCoefficients", "HarFeatures", "HarModelSet", "build_har_features",
     "fit_har_ols", "fit_har_panel",
-    "FitConfig", "HybridModel", "NetworkSummary", "fit_hybrid",
-    "residual_covariance", "spillover_network",
+    "FitConfig", "HybridModel", "NetworkSummary", "fit_hybrid", "spillover_network",
     "OhlcBar", "OhlcPanel", "OhlcSeries", "align_panel", "load_ohlc_csv",
     "JirfPath", "ShockGroup", "joint_shock", "simulate_jirf",
-    "RvPanel", "RvSeries", "YzConfig", "read_rv_csv", "rogers_satchell_var",
+    "RvPanel", "RvSeries", "YzConfig", "read_rv_csv",
     "rv_csv_text", "yang_zhang_panel", "yang_zhang_rv", "yz_weight",
     "adf_test", "kpss_test",
     "PlantedEdge", "SyntheticSpec", "generate_synthetic_panel",

@@ -28,9 +28,15 @@ leaves A). Once A is stationary, the zero coordinate with the largest KKT
 violation joins A before the next step. In exact arithmetic each step lowers
 F and no active set recurs with the same signs, so the search reaches the
 optimum in finitely many steps; it stops when the KKT conditions hold to a
-tolerance, not when steps get small. The cross blocks here have P = 3(K-1)
-features, so each active-set solve is cheap next to the one O(M P^2) Gram
-product.
+tolerance, not when steps get small.
+
+The search reads the data only through its sufficient statistics X'X, X'y,
+y'y and M (`Moments`), so `fit_elastic_net` has two entries to one solver: a
+design and target, from which it forms them, or the statistics themselves.
+Callers that already hold a Gram pass it directly: cross-validation forms
+each fold's scaled Gram once for its whole lambda path, and the hybrid
+estimator reads every cross block's Gram off one cross-product of the panel.
+A fit then costs only its active-set solves on P x P blocks; P = 3(K-1) here.
 """
 
 from __future__ import annotations
@@ -76,13 +82,24 @@ class CvResult:
     fold_boundaries: tuple[tuple[int, int], ...]
 
 
-def soft_threshold(z: float, t: float) -> float:
-    """Shrink z toward 0 by t; 0 when |z| <= t."""
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
+@dataclass(frozen=True)
+class Moments:
+    """Sufficient statistics of a no-intercept least-squares problem: X'X (P x P),
+    X'y (P), y'y and the row count n, in the units the problem is fitted in."""
+    xtx: np.ndarray
+    xty: np.ndarray
+    yty: float
+    n: int
+
+    def __post_init__(self):
+        P = len(self.xty)
+        if self.xtx.shape != (P, P) or self.n < 1:
+            raise ValueError(f"moments need a {P} x {P} X'X and n >= 1, "
+                             f"got {self.xtx.shape} and n = {self.n}")
+
+    @classmethod
+    def of(cls, X: np.ndarray, y: np.ndarray) -> "Moments":
+        return cls(X.T @ X, X.T @ y, float(y @ y), X.shape[0])
 
 
 def _column_scales(X: np.ndarray) -> np.ndarray:
@@ -98,7 +115,7 @@ def _column_scales(X: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(s) & (s > 0), s, 1.0)
 
 
-def fit_elastic_net(X: np.ndarray, y: np.ndarray, pen: PenaltySpec,
+def fit_elastic_net(X: np.ndarray | Moments, y: np.ndarray | None, pen: PenaltySpec,
                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                     standardize: bool = True,
                     warm_start: np.ndarray | None = None) -> ElasticNetFit:
@@ -115,22 +132,39 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, pen: PenaltySpec,
     converged=False. With standardize=False, X is fitted as given, without a
     copy, and coefficients and warm start are in X's units; callers that fit
     one design many times scale it once and pass it this way.
+
+    X may instead be the `Moments` of a design, with y None: the problem is
+    fitted in the units the statistics were formed in, and `standardize` does
+    not apply. A design and its `Moments.of` give bit-identical coefficients
+    and sweep counts. The objective then comes from the statistics, by
+    expanding the square (y'y - 2 g'X'y + g'X'X g), which cancels badly when
+    the fit is close to exact: its relative error is of order eps * y'y / RSS.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise NonFiniteInput("design or target contains non-finite values")
-    M, P = X.shape
-    if len(y) != M:
-        raise ValueError(f"X has {M} rows but y has {len(y)}")
+    from_moments = isinstance(X, Moments)
+    if from_moments:
+        if y is not None:
+            raise ValueError("a Moments problem takes no target")
+        stats = X
+        if not (np.all(np.isfinite(stats.xtx)) and np.all(np.isfinite(stats.xty))
+                and np.isfinite(stats.yty)):
+            raise NonFiniteInput("sufficient statistics contain non-finite values")
+        scale = np.ones(len(stats.xty))
+    else:
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise NonFiniteInput("design or target contains non-finite values")
+        if len(y) != X.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)}")
+        scale = _column_scales(X) if standardize else np.ones(X.shape[1])
+        Xs = X / scale if standardize else X
+        stats = Moments.of(Xs, y)
+    M, P = stats.n, len(stats.xty)
     if P == 0:
-        return ElasticNetFit(np.empty(0), 0, True, float(y @ y) / M)
+        return ElasticNetFit(np.empty(0), 0, True, stats.yty / M)
 
-    scale = _column_scales(X) if standardize else np.ones(P)
-    Xs = X / scale if standardize else X
-
-    q = (2.0 / M) * (Xs.T @ y)
-    H = (2.0 / M) * (Xs.T @ Xs) + pen.lam * (1.0 - pen.alpha) * np.eye(P)  # G + ridge
+    q = (2.0 / M) * stats.xty
+    H = (2.0 / M) * stats.xtx + pen.lam * (1.0 - pen.alpha) * np.eye(P)  # G + ridge
     thr = pen.lam * pen.alpha
 
     gamma = np.zeros(P) if warm_start is None else np.asarray(warm_start, dtype=float) * scale
@@ -154,9 +188,13 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, pen: PenaltySpec,
     if not converged:
         warnings.warn(f"feature-sign search did not converge in {max_iter} iterations",
                       DidNotConvergeWarning, stacklevel=2)
-    # from the residual: expanding the square cancels badly when the fit is close
-    resid = y - Xs @ gamma
-    obj = (float(resid @ resid) / M + 0.5 * pen.lam * (1.0 - pen.alpha) * float(gamma @ gamma)
+    if from_moments:
+        rss = stats.yty - 2.0 * float(gamma @ stats.xty) + float(gamma @ stats.xtx @ gamma)
+    else:
+        # from the residual: expanding the square cancels badly when the fit is close
+        resid = y - Xs @ gamma
+        rss = float(resid @ resid)
+    obj = (rss / M + 0.5 * pen.lam * (1.0 - pen.alpha) * float(gamma @ gamma)
            + thr * float(np.abs(gamma).sum()))
     return ElasticNetFit(gamma / scale, it, converged, obj)
 
@@ -228,18 +266,19 @@ def kkt_violation(X: np.ndarray, y: np.ndarray, coef: np.ndarray, pen: PenaltySp
     return max(worst, 0.0)
 
 
-def lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 0.5,
+def lambda_max(X: np.ndarray | Moments, y: np.ndarray | None, alpha: float = 0.5,
                standardize: bool = True) -> float:
-    """Smallest lam for which the all-zero solution is optimal."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    M = X.shape[0]
-    scale = _column_scales(X) if standardize else np.ones(X.shape[1])
-    q = (2.0 / M) * ((X / scale).T @ y)
+    """Smallest lam for which the all-zero solution is optimal; X may be the
+    `Moments` of a design (y unused), as in `fit_elastic_net`."""
+    if not isinstance(X, Moments):
+        X = np.asarray(X, dtype=float)
+        scale = _column_scales(X) if standardize else np.ones(X.shape[1])
+        X = Moments.of(X / scale, np.asarray(y, dtype=float))
+    q = (2.0 / X.n) * X.xty
     return float(np.max(np.abs(q))) / max(alpha, _MIN_ALPHA_FOR_GRID) if q.size else 0.0
 
 
-def default_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float = 0.5,
+def default_lambda_grid(X: np.ndarray | Moments, y: np.ndarray | None, alpha: float = 0.5,
                         size: int = 60, ratio: float = 1e-4,
                         standardize: bool = True) -> np.ndarray:
     """Log-spaced grid from lambda_max down to lambda_max * ratio, descending."""
@@ -258,10 +297,13 @@ def cross_validate_lambda(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
     Selection applies the one-standard-error rule in the sparse direction:
     among lam whose mean validation MSE is within one SE of the minimum, the
     LARGEST lam wins. Each fold scales its columns by the standard deviations
-    of its training rows only, once, and fits every lam on that scaled design.
+    of its training rows only, forms the scaled Gram of those rows once, and
+    fits every lam from it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise NonFiniteInput("design or target contains non-finite values")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise GridEmpty("empty lambda grid")
@@ -281,13 +323,12 @@ def cross_validate_lambda(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
         n_train = blocks[k][0]
         val = slice(n_train, blocks[k][-1] + 1)
         scale = _column_scales(X[:n_train])
-        X_train = X[:n_train] / scale
+        train = Moments.of(X[:n_train] / scale, y[:n_train])
         X_val = X[val] / scale
         warm = None  # coefficients in scaled units
         for gi in order:
-            fit = fit_elastic_net(X_train, y[:n_train], PenaltySpec(grid[gi], alpha),
-                                  tol=tol, max_iter=max_iter, standardize=False,
-                                  warm_start=warm)
+            fit = fit_elastic_net(train, None, PenaltySpec(grid[gi], alpha),
+                                  tol=tol, max_iter=max_iter, warm_start=warm)
             warm = fit.coef
             err = y[val] - X_val @ fit.coef
             fold_mse[f, gi] = float(err @ err) / len(err)

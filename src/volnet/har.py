@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import HistoryTooShort, RankDeficientDesign, SeriesTooShort
+from .errors import HistoryTooShort, NonFiniteInput, RankDeficientDesign, SeriesTooShort
 from .rv import RvPanel, RvSeries
 
 DEFAULT_LAGS = (1, 5, 22)
@@ -101,21 +101,128 @@ def build_har_features(rv: RvSeries | np.ndarray,
 def fit_har_ols(features: HarFeatures) -> tuple[HarCoefficients, np.ndarray]:
     """Least-squares fit of [1, daily, weekly, monthly]; returns residuals too.
 
-    Solved by an orthogonal decomposition rather than normal equations; a
+    The one-asset case of `own_ols`, so a series fitted alone gets the same
+    bits as its column of a panel fit (`fit_har_panel`, `fit_hybrid`). A
     rank-deficient design is an error, never a silent pseudo-inverse.
     """
-    if len(features) < 4:
-        raise SeriesTooShort(f"need >= 4 rows to fit 4 coefficients, got {len(features)}")
-    X = features.design()
-    beta, _, rank, _ = np.linalg.lstsq(X, features.target, rcond=None)
-    if rank < X.shape[1]:
-        raise RankDeficientDesign(f"design rank {rank} < {X.shape[1]}")
-    coef = HarCoefficients(*map(float, beta))
+    rows = np.array([features.daily, features.weekly, features.monthly, features.target],
+                    dtype=float)
+    coef, resid = own_ols(PanelMoments.of(rows), (None,))
+    return HarCoefficients(*map(float, coef[0])), resid[0]
+
+
+def _warn_if_persistent(coef: HarCoefficients, stacklevel: int, asset: str | None = None) -> None:
     if coef.persistence >= 1.0:
-        warnings.warn(f"HAR persistence {coef.persistence:.4f} >= 1; "
+        where = f" for {asset}" if asset else ""
+        warnings.warn(f"HAR persistence {coef.persistence:.4f} >= 1{where}; "
                       "one-step forecasts remain valid but impulse simulation will refuse",
-                      UserWarning, stacklevel=2)
-    return coef, features.target - X @ beta
+                      UserWarning, stacklevel=stacklevel)
+
+
+@dataclass(frozen=True)
+class PanelMoments:
+    """A panel's lag features and targets Z = [F, Y] (M x 4K), held by column
+    as Zt = Z' (4K x M), with its column means, its centred columns and their
+    cross-product S = Z_c'Z_c. F holds asset k's daily/weekly/monthly features
+    in columns 3k..3k+2 and Y asset k's target in column 3K + k.
+    """
+    Zt: np.ndarray       # 4K x M
+    mean: np.ndarray     # 4K
+    centred: np.ndarray  # 4K x M, Z_c'
+    S: np.ndarray        # 4K x 4K
+
+    @classmethod
+    def of(cls, Zt: np.ndarray) -> "PanelMoments":
+        """Moments of Zt. Raises SeriesTooShort below four rows of Z (an
+        intercept and three slopes per asset) and NonFiniteInput when a value,
+        or the product, is not finite. Each mean is a sum along its own
+        contiguous row, so it has the same bits whichever columns share Z."""
+        M = Zt.shape[1]
+        if M < 4:
+            raise SeriesTooShort(f"need >= 4 rows to fit 4 coefficients, got {M}")
+        if not np.all(np.isfinite(Zt)):
+            raise NonFiniteInput("lag features or targets are not finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+            mean = Zt.mean(axis=1)
+            centred = Zt - mean[:, None]
+            S = centred @ centred.T
+        if not np.all(np.isfinite(S)):
+            raise NonFiniteInput("the panel's cross-product overflows")
+        return cls(Zt, mean, centred, S)
+
+    @property
+    def n_assets(self) -> int:
+        return self.S.shape[0] // 4
+
+    @property
+    def n_rows(self) -> int:
+        return self.Zt.shape[1]
+
+
+def panel_moments(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS) -> PanelMoments:
+    """One centred cross-product of a T x K panel's lag features and targets."""
+    values = np.asarray(values, dtype=float)
+    m = max(lags)
+    M = len(values) - m
+    if M < 4:
+        raise SeriesTooShort(f"need >= {m + 4} observations to fit 4 coefficients, "
+                             f"got {len(values)}")
+    K = values.shape[1]
+    Zt = np.empty((4 * K, M))
+    Zt[:3 * K] = lag_means(values, lags).reshape(M, 3 * K).T
+    Zt[3 * K:] = values[m:].T
+    return PanelMoments.of(Zt)
+
+
+def own_ols(pm: PanelMoments, assets: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Every asset's HAR OLS from its own block of the centred cross-product,
+    solved together.
+
+    Returns the K x 4 coefficients (intercept, daily, weekly, monthly) and
+    the K x M residuals, which have mean zero. The normal equations are solved
+    once, then refined by one step on the residuals of the centred rows, which
+    takes back most of what forming the cross-product costs in accuracy. The
+    blocks are formed per asset (one batched product each) rather than read
+    off S, so an asset gets the same bits alone (`fit_har_ols`) as in a panel.
+    A feature column that is constant, or a block that is singular to
+    working precision, is a RankDeficientDesign. Warns per asset whose
+    persistence is >= 1.
+    """
+    K, M = pm.n_assets, pm.n_rows
+    F = pm.centred[:3 * K].reshape(K, 3, M)  # asset k's centred features
+    y = pm.centred[3 * K:]                   # K x M centred targets
+    S_oo = F @ F.transpose(0, 2, 1)          # K x 3 x 3
+    var = np.diagonal(S_oo, axis1=1, axis2=2)
+    norm2 = var + M * pm.mean[:3 * K].reshape(K, 3) ** 2  # of the uncentred columns
+    tol = M * np.finfo(float).eps
+    bad = np.any(var <= tol ** 2 * norm2, axis=1)
+    if not bad.any():
+        d = np.sqrt(var)
+        bad = np.linalg.eigvalsh(S_oo / (d[:, :, None] * d[:, None, :]))[:, 0] <= tol
+    if bad.any():
+        where = assets[int(np.argmax(bad))]
+        raise RankDeficientDesign(f"{where + ': ' if where else ''}HAR design is rank "
+                                  "deficient (a constant or collinear lag feature)")
+    beta = np.linalg.solve(S_oo, F @ y[:, :, None])[:, :, 0]  # K x 3
+    resid = y - (beta[:, None, :] @ F)[:, 0]
+    beta += np.linalg.solve(S_oo, F @ resid[:, :, None])[:, :, 0]
+    resid = y - (beta[:, None, :] @ F)[:, 0]
+    intercept = pm.mean[3 * K:] - (pm.mean[:3 * K].reshape(K, 3) * beta).sum(axis=1)
+    coef = np.column_stack([intercept, beta])
+    for a, row in zip(assets, coef):
+        _warn_if_persistent(HarCoefficients(*row), stacklevel=4, asset=a)
+    return coef, resid
+
+
+def residual_map(beta: np.ndarray) -> np.ndarray:
+    """4K x K matrix B with Z_c @ B the own-HAR residuals of the K x 3 slopes
+    `beta`: column k holds 1 at asset k's target and -beta[k] at its features."""
+    K = len(beta)
+    k = np.arange(K)
+    B = np.zeros((4 * K, K))
+    B[3 * K + k, k] = 1.0
+    B[:3 * K].reshape(K, 3, K)[k, :, k] = -beta
+    return B
 
 
 class HarStep:
@@ -180,6 +287,7 @@ class HarModelSet(HarStep):
 
 
 def fit_har_panel(panel: RvPanel, lags: Sequence[int] = DEFAULT_LAGS) -> HarModelSet:
-    own = tuple(fit_har_ols(build_har_features(panel.values[:, i], lags))[0]
-                for i in range(panel.n_assets))
+    """Every asset's HAR by `own_ols`, the own step of the hybrid estimator."""
+    coef, _ = own_ols(panel_moments(panel.values, lags), panel.assets)
+    own = tuple(HarCoefficients(*map(float, row)) for row in coef)
     return HarModelSet(panel.assets, own, tuple(lags))

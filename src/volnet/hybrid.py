@@ -25,14 +25,14 @@ import numpy as np
 from .elastic_net import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    Moments,
     PenaltySpec,
-    _column_scales,
     cross_validate_lambda,
     default_lambda_grid,
     fit_elastic_net,
 )
 from .errors import InvalidConfig
-from .har import DEFAULT_LAGS, HarCoefficients, HarFeatures, HarStep, fit_har_ols, lag_means
+from .har import DEFAULT_LAGS, HarCoefficients, HarStep, own_ols, panel_moments, residual_map
 from .rv import RvPanel
 
 MODEL_SCHEMA = "volnet-model-v1"
@@ -94,62 +94,61 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     skipped; the bootstrap relies on this to hold regularization constant
     across replicates.
 
-    The lag features of the whole panel form one M x 3K design F (source-major,
-    daily/weekly/monthly), built, scaled and divided once. Asset i's cross
-    design is F without its own three columns, a contiguous copy of the
-    scaled F that the elastic net fits as it stands; its coefficients are
-    mapped back to the original feature scale here.
+    The whole estimator reads one centred cross-product S = Z_c'Z_c of the
+    panel's lag features F (M x 3K, source-major, daily/weekly/monthly) and
+    targets Y, Z = [F, Y] (`har.panel_moments`). Each asset's HAR OLS comes
+    from its own block of that product (`har.own_ols`). Asset i's cross
+    design X is F without its own three columns; the elastic net sees it only
+    through its Gram X'X = S_cc + M mu mu' and X'r = S_cy - S_co beta (the
+    OLS residual r has mean zero), both divided by the column scales
+    sqrt(diag S / (M - 1)).
+    Coefficients are mapped back to the original feature scale here. The
+    final residuals are Z_c B for a 4K x K matrix B, so their covariance is
+    B'SB / (M - 1). Cross-validation fits its folds from X itself, which it
+    receives with r.
     """
     K = rv.n_assets
-    m = max(cfg.lags)
-    feats = lag_means(rv.values, cfg.lags)  # M x K x 3
-    targets = rv.values[m:]
-    M = targets.shape[0]
-    F = feats.reshape(M, 3 * K)
-    scale = _column_scales(F)
-    Fs = F / scale
+    pm = panel_moments(rv.values, cfg.lags)
+    coef, resid = own_ols(pm, rv.assets)
+    M, P, S, k = pm.n_rows, 3 * K, pm.S, np.arange(K)
+    mu = pm.mean[:P]
+    scale = np.sqrt(np.diagonal(S)[:P] / (M - 1))  # nonzero: own_ols rejects constant features
 
-    own: list[HarCoefficients] = []
+    B = residual_map(coef[:, 1:])  # the cross coefficients join it below
+    Xr = (S[:P] @ B) / scale[:, None]  # column i: X'r for asset i's OLS residual, scaled
+    G = (S[:P, :P] + M * np.outer(mu, mu)) / np.outer(scale, scale)
+
     cross = np.zeros((K, K, 3))
     lambdas = np.zeros(K)
-    xi = np.empty((M, K))
     for i in range(K):
-        har = HarFeatures(targets[:, i], feats[:, i, 0], feats[:, i, 1], feats[:, i, 2])
-        coef, resid = fit_har_ols(har)
-        own.append(coef)
-        own_cols = slice(3 * i, 3 * i + 3)
-        Xs = np.delete(Fs, own_cols, axis=1)  # C-contiguous, like a standalone design
+        kc = np.flatnonzero(np.arange(P) // 3 != i)  # asset i's cross columns
+        r = resid[i]
+        stats = Moments(G[np.ix_(kc, kc)], Xr[kc, i], float(r @ r), M)
         if fixed_lambdas is not None:
             lam = float(fixed_lambdas[i])
         else:
             grid = (np.asarray(cfg.lambda_grid, dtype=float) if cfg.lambda_grid is not None
-                    else default_lambda_grid(Xs, resid, cfg.alpha, cfg.grid_size,
-                                             cfg.grid_ratio, standardize=False))
-            cv = cross_validate_lambda(np.delete(F, own_cols, axis=1), resid, grid,
-                                       cfg.alpha, cfg.cv_folds, cfg.tol, cfg.max_iter)
+                    else default_lambda_grid(stats, None, cfg.alpha, cfg.grid_size,
+                                             cfg.grid_ratio))
+            X = np.ascontiguousarray(pm.Zt[kc].T)
+            cv = cross_validate_lambda(X, r, grid, cfg.alpha, cfg.cv_folds, cfg.tol, cfg.max_iter)
             lam = cv.selected_lambda
         lambdas[i] = lam
-        fit = fit_elastic_net(Xs, resid, PenaltySpec(lam, cfg.alpha),
-                              tol=cfg.tol, max_iter=cfg.max_iter, standardize=False)
-        cross[i, np.arange(K) != i] = (fit.coef / np.delete(scale, own_cols)).reshape(K - 1, 3)
-        xi[:, i] = resid - Xs @ fit.coef
+        fit = fit_elastic_net(stats, None, PenaltySpec(lam, cfg.alpha),
+                              tol=cfg.tol, max_iter=cfg.max_iter)
+        c = fit.coef / scale[kc]
+        cross[i, k != i] = c.reshape(K - 1, 3)
+        B[kc, i] = -c
 
-    cov = np.cov(xi, rowvar=False, ddof=1).reshape(K, K)
+    cov = (B.T @ S @ B) / (M - 1)
     cov = 0.5 * (cov + cov.T)
     return HybridModel(
-        assets=rv.assets, own=tuple(own), cross=cross, selected_lambda=lambdas,
+        assets=rv.assets,
+        own=tuple(HarCoefficients(*map(float, row)) for row in coef),
+        cross=cross, selected_lambda=lambdas,
         residual_cov=cov, lags=tuple(cfg.lags), alpha=cfg.alpha,
         sample_start=rv.dates[0], sample_end=rv.dates[-1], n_obs=M,
     )
-
-
-def residual_covariance(model: HybridModel, rv: RvPanel) -> np.ndarray:
-    """Sample covariance (M-1 denominator) of in-sample one-step residuals."""
-    m = max(model.lags)
-    K = model.n_assets
-    resid = rv.values[m:] - model.predict(rv.values[:-1])
-    cov = np.cov(resid, rowvar=False, ddof=1).reshape(K, K)
-    return 0.5 * (cov + cov.T)
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ class OhlcSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def bar(self, i: int) -> OhlcBar:
-        return OhlcBar(self.dates[i], float(self.open[i]), float(self.high[i]),
-                       float(self.low[i]), float(self.close[i]))
-
 
 @dataclass(frozen=True)
 class OhlcPanel:

@@ -28,7 +28,7 @@ from .errors import (
     UnparseableRow,
     WindowTooSmall,
 )
-from .ingest import OhlcBar, OhlcPanel, OhlcSeries
+from .ingest import OhlcPanel, OhlcSeries
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,6 @@ def yz_weight(n: int) -> float:
     if n < 2:
         raise WindowTooSmall(f"window {n} < 2")
     return 0.34 / (1.34 + (n + 1) / (n - 1))
-
-
-def rogers_satchell_var(bar: OhlcBar) -> float:
-    """Daily Rogers-Satchell variance: ln(H/C)ln(H/O) + ln(L/C)ln(L/O)."""
-    o, h, l, c = bar.open, bar.high, bar.low, bar.close
-    return float(np.log(h / c) * np.log(h / o) + np.log(l / c) * np.log(l / o))
 
 
 def _rs_daily(series: OhlcSeries) -> np.ndarray:

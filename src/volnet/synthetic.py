@@ -82,13 +82,30 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+def spectral_radius(model: HybridModel) -> float:
+    """Largest eigenvalue modulus of the companion matrix of the model's lag
+    operator W; the recursion is stable when it is below 1."""
+    K = model.n_assets
+    m = max(model.lags)
+    companion = np.eye(m * K, k=K)  # the window drops its oldest day...
+    companion[-K:] = model.W        # ...and gains the step
+    return float(np.max(np.abs(np.linalg.eigvals(companion))))
+
+
 def generate_synthetic_panel(spec: SyntheticSpec) -> RvPanel:
+    """Raises ExplosiveSpec when an asset's own persistence is >= 1 (checked
+    exactly, since a unit root's eigenvalue may round below 1) or when cross
+    edges make the joint system explosive."""
     K = len(spec.assets)
     for a, c in zip(spec.assets, spec.own):
         if c.persistence >= 1.0:
             raise ExplosiveSpec(f"{a}: persistence {c.persistence:.4f} >= 1")
-    B = _psd_factor(spec.innovation_cov)
     model = true_hybrid_model(spec)
+    rho = spectral_radius(model)
+    if rho >= 1.0:
+        raise ExplosiveSpec(f"spectral radius {rho:.4f} >= 1: the joint own and cross "
+                            "dynamics are explosive")
+    B = _psd_factor(spec.innovation_cov)
     m = max(model.lags)
 
     rng = np.random.default_rng(spec.seed)

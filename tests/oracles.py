@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from volnet.ingest import OhlcBar
+
 
 def enet_objective(X: np.ndarray, y: np.ndarray, g: np.ndarray,
                    lam: float, alpha: float) -> float:
@@ -63,8 +65,47 @@ def enet_projected_gradient(X: np.ndarray, y: np.ndarray, lam: float, alpha: flo
     return u - v
 
 
+def soft_threshold(z: float, t: float) -> float:
+    """Shrink z toward 0 by t; 0 when |z| <= t."""
+    if z > t:
+        return z - t
+    if z < -t:
+        return z + t
+    return 0.0
+
+
 def ols_normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(X.T @ X, X.T @ y)
+
+
+def ols_lstsq(features) -> tuple[np.ndarray, np.ndarray]:
+    """HAR OLS of HarFeatures by an orthogonal decomposition of the design:
+    coefficients (intercept, daily, weekly, monthly) and residuals."""
+    X = features.design()
+    beta = np.linalg.lstsq(X, features.target, rcond=None)[0]
+    return beta, features.target - X @ beta
+
+
+def residual_covariance(model, rv) -> np.ndarray:
+    """Sample covariance (M-1 denominator) of a fitted model's in-sample
+    one-step residuals, from its predictions over the panel."""
+    m = max(model.lags)
+    K = model.n_assets
+    resid = rv.values[m:] - model.predict(rv.values[:-1])
+    cov = np.cov(resid, rowvar=False, ddof=1).reshape(K, K)
+    return 0.5 * (cov + cov.T)
+
+
+def ohlc_bar(series, i: int) -> OhlcBar:
+    """Day i of an OhlcSeries as a validated bar."""
+    return OhlcBar(series.dates[i], float(series.open[i]), float(series.high[i]),
+                   float(series.low[i]), float(series.close[i]))
+
+
+def rogers_satchell_var(bar) -> float:
+    """Daily Rogers-Satchell variance: ln(H/C)ln(H/O) + ln(L/C)ln(L/O)."""
+    o, h, l, c = bar.open, bar.high, bar.low, bar.close
+    return float(np.log(h / c) * np.log(h / o) + np.log(l / c) * np.log(l / o))
 
 
 def adf_naive(y: np.ndarray, max_lags: int) -> tuple[float, int]:

@@ -7,7 +7,7 @@ from volnet.bootstrap import (
     block_resample,
     bootstrap_jirf,
 )
-from volnet.errors import ExplosiveModel, PanelTooShort, TooManyReplicateFailures
+from volnet.errors import ExplosiveModel, PanelTooShort, TooManyReplicateFailures, VolnetError
 from volnet.har import HarCoefficients
 from volnet.hybrid import FitConfig, fit_hybrid
 from volnet.jirf import ShockGroup, jirf_for_group
@@ -174,3 +174,28 @@ def test_band_is_plain_data():
     band = JirfBand(("g",), ("A",), np.zeros((1, 2, 1)), np.zeros((1, 2, 1)),
                     np.zeros((1, 2, 1)), 4, 0)
     assert band.n_effective == 4
+
+
+def test_rank_deficient_replicates_are_counted_as_failed(boot_panel, monkeypatch):
+    # B is constant on its first 300 days: a replicate that draws only from them
+    # has a constant own feature, which the fit refuses
+    import volnet.bootstrap as bs
+
+    values = boot_panel.values.copy()
+    values[:300, 1] = 0.2
+    panel = RvPanel(boot_panel.dates, boot_panel.assets, values)
+    raised = []
+    real = bs.fit_hybrid
+
+    def recording(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except VolnetError as exc:
+            raised.append(exc.code)
+            raise
+
+    monkeypatch.setattr(bs, "fit_hybrid", recording)
+    cfg = BootstrapConfig(block_length=100, replications=20, seed=3, max_failure_rate=1.0)
+    band = bootstrap_jirf(panel, FitConfig(), LAMBDAS, GROUPS[:1], cfg, horizon=4)
+    assert raised and set(raised) == {"RankDeficientDesign"}
+    assert band.n_failed == len(raised) and band.n_effective == 20 - len(raised)

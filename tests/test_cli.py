@@ -573,6 +573,25 @@ def test_invalid_spec_json_rejected(workdir, tmp_path, capsys, defect):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_spec_whose_cross_edges_make_it_explosive(tmp_path, capsys):
+    # every asset is stable on its own (persistence 0.90 or 0.95); the ring of
+    # 0.1 edges A_i -> A_{i+1} lifts the joint spectral radius above 1
+    assets = tuple(f"A{i}" for i in range(6))
+    horizons = ("daily", "weekly", "monthly")
+    spec = SyntheticSpec(
+        assets=assets, length=2500,
+        own=tuple(HarCoefficients(0.01, 0.4, 0.3, 0.2 if i % 2 else 0.25) for i in range(6)),
+        cross=tuple(PlantedEdge(assets[i], assets[(i + 1) % 6], horizons[i % 3], 0.1)
+                    for i in range(6)),
+        innovation_cov=1e-4 * np.eye(6))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_dict(spec)))
+    out = tmp_path / "rv.csv"
+    assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 1
+    assert "volnet: code=ExplosiveSpec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_rejects_a_constant_column(tmp_path, capsys):
     flat = tmp_path / "flat.csv"
     rows = "\n".join(f"2020-{1 + i // 28:02d}-{1 + i % 28:02d},0.2,{0.2 + 0.01 * (i % 7)}"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from volnet.elastic_net import (
     DEFAULT_TOL,
     CvResult,
+    Moments,
     PenaltySpec,
     _column_scales,
     cross_validate_lambda,
@@ -16,7 +17,6 @@ from volnet.elastic_net import (
     kkt_violation,
     lambda_max,
     objective,
-    soft_threshold,
 )
 from volnet.errors import (
     DidNotConvergeWarning,
@@ -27,7 +27,7 @@ from volnet.errors import (
 from volnet.har import HarCoefficients, build_har_features, fit_har_ols
 from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
 
-from oracles import enet_objective, enet_projected_gradient
+from oracles import enet_objective, enet_projected_gradient, soft_threshold
 
 
 def random_problem(seed, M=40, P=4, unit_columns=False):
@@ -405,3 +405,62 @@ def test_per_fold_cv_matches_naive_per_lambda_fits(seed, P, n_folds, alpha, size
     want, selected = _cv_naive(X, y, grid, alpha, n_folds)
     np.testing.assert_allclose(res.mean_val_mse, want, rtol=1e-10, atol=0)
     assert res.selected_lambda == selected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_enet_problems())
+def test_moments_entry_matches_design_entry_bitwise(problem):
+    X, y, pen, warm = problem
+    Xs = X / _column_scales(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DidNotConvergeWarning)
+        by_design = fit_elastic_net(Xs, y, pen, tol=1e-9, standardize=False, warm_start=warm)
+        by_moments = fit_elastic_net(Moments.of(Xs, y), None, pen, tol=1e-9, warm_start=warm)
+    np.testing.assert_array_equal(by_moments.coef, by_design.coef)
+    assert by_moments.n_sweeps == by_design.n_sweeps
+    assert by_moments.converged == by_design.converged
+    assert lambda_max(Moments.of(Xs, y), None, pen.alpha) == \
+        lambda_max(Xs, y, pen.alpha, standardize=False)
+
+
+def test_cv_fits_each_fold_from_its_moments_as_from_its_scaled_design():
+    # the path CV took when it refitted each (fold, lam) from the fold's scaled
+    # design, warm-started down the grid; fitting from the fold's Gram gives the
+    # same bits
+    X, y = random_problem(61, M=150, P=6)
+    grid = default_lambda_grid(X, y, 0.5, size=12, ratio=1e-3)
+    res = cross_validate_lambda(X, y, grid, 0.5, n_folds=4)
+    blocks = np.array_split(np.arange(len(y)), 4)
+    mse = np.empty((3, grid.size))
+    for f in range(1, 4):
+        n_train, val = blocks[f][0], blocks[f]
+        scale = _column_scales(X[:n_train])
+        warm = None
+        for g in range(grid.size):  # the grid is descending
+            fit = fit_elastic_net(X[:n_train] / scale, y[:n_train], PenaltySpec(grid[g], 0.5),
+                                  standardize=False, warm_start=warm)
+            warm = fit.coef
+            err = y[val] - (X[val] / scale) @ fit.coef
+            mse[f - 1, g] = float(err @ err) / len(err)
+    np.testing.assert_array_equal(res.mean_val_mse, mse.mean(axis=0))
+
+
+def test_moments_entry_checks_its_inputs():
+    X, y = random_problem(67)
+    stats = Moments.of(X, y)
+    pen = PenaltySpec(0.1)
+    # with a residual far from zero, the objective from the statistics is accurate
+    assert fit_elastic_net(stats, None, pen).objective == pytest.approx(
+        fit_elastic_net(X, y, pen, standardize=False).objective, rel=1e-12)
+    # the statistics are fitted as formed: `standardize` does not apply to them
+    np.testing.assert_array_equal(fit_elastic_net(stats, None, pen, standardize=False).coef,
+                                  fit_elastic_net(stats, None, pen).coef)
+    with pytest.raises(ValueError, match="takes no target"):
+        fit_elastic_net(stats, y, PenaltySpec(0.1))
+    with pytest.raises(NonFiniteInput):
+        fit_elastic_net(Moments(stats.xtx, stats.xty, np.inf, stats.n), None, PenaltySpec(0.1))
+    with pytest.raises(ValueError, match="moments need"):
+        Moments(stats.xtx[:2], stats.xty, stats.yty, stats.n)
+    empty = fit_elastic_net(Moments(np.empty((0, 0)), np.empty(0), 4.0, 2), None,
+                            PenaltySpec(0.1))
+    assert empty.coef.shape == (0,) and empty.converged and empty.objective == 2.0

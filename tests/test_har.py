@@ -1,9 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volnet.errors import HistoryTooShort, RankDeficientDesign, SeriesTooShort
+from volnet.errors import HistoryTooShort, NonFiniteInput, RankDeficientDesign, SeriesTooShort
 from volnet.har import (
     HarCoefficients,
     HarFeatures,
@@ -14,9 +17,16 @@ from volnet.har import (
     lag_means,
 )
 from volnet.hybrid import HybridModel
+from volnet.rv import RvPanel
 from volnet.synthetic import SyntheticSpec, generate_synthetic_panel
 
-from oracles import har_features_naive, harx_step_naive, lag_means_naive, ols_normal_equations
+from oracles import (
+    har_features_naive,
+    harx_step_naive,
+    lag_means_naive,
+    ols_lstsq,
+    ols_normal_equations,
+)
 
 
 def random_rv(n, seed):
@@ -221,3 +231,33 @@ def test_windowed_predict_is_the_one_step_and_the_trailing_mean_loop(seed, K, la
         # relative to the size of the terms, since signed terms may cancel
         size = harx_step_naive(np.abs(intercepts), np.abs(coef), lags, window)
         assert np.all(np.abs(pred[r] - want) <= 1e-12 * size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(30, 600), st.booleans())
+def test_a_series_fitted_alone_gets_the_bits_of_its_panel_column(seed, K, N, fortran):
+    # each asset's block is formed by itself, whichever assets share the panel
+    rng = np.random.default_rng(seed)
+    values = 0.2 + 0.05 * np.abs(rng.standard_normal((N, K))).cumsum(axis=0) / np.sqrt(
+        np.arange(1, N + 1))[:, None] + 0.01 * rng.random((N, K))
+    if fortran:
+        values = np.asfortranarray(values)
+    panel = RvPanel(tuple(range(N)), tuple(f"A{i}" for i in range(K)), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # persistence >= 1 on some draws
+        model = fit_har_panel(panel)
+        for i in range(K):
+            f = build_har_features(values[:, i])
+            solo, _ = fit_har_ols(f)
+            assert solo == model.own[i]
+            np.testing.assert_allclose(solo.as_array(), ols_lstsq(f)[0], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("field", ["target", "daily", "monthly"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_or_targets_are_refused(field, bad):
+    f = build_har_features(random_rv(100, 3))
+    broken = getattr(f, field).copy()
+    broken[10] = bad
+    with pytest.raises(NonFiniteInput):
+        fit_har_ols(dataclasses.replace(f, **{field: broken}))

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volnet.elastic_net import PenaltySpec, fit_elastic_net
-from volnet.errors import HistoryTooShort, InvalidConfig
-from volnet.har import HarCoefficients, build_har_features, fit_har_ols, fit_har_panel
+from volnet.elastic_net import DEFAULT_TOL, PenaltySpec, fit_elastic_net, kkt_violation, objective
+from volnet.errors import (
+    HistoryTooShort,
+    InvalidConfig,
+    NonFiniteInput,
+    RankDeficientDesign,
+    SeriesTooShort,
+)
+from volnet.har import HarCoefficients, build_har_features, fit_har_panel
 from volnet.hybrid import (
     FEATURE_ORDER_TAG,
     FitConfig,
@@ -17,10 +23,11 @@ from volnet.hybrid import (
     fit_hybrid,
     model_from_dict,
     model_to_dict,
-    residual_covariance,
     spillover_network,
 )
 from volnet.rv import RvPanel
+
+from oracles import ols_lstsq, residual_covariance
 
 
 def small_model(cross: np.ndarray, assets=("A", "B"), lags=(1, 2, 3)) -> HybridModel:
@@ -85,18 +92,34 @@ def test_own_coefficients_independent_of_penalty(two_asset_panel):
     assert np.any(loose.cross != 0.0)
 
 
+def assert_matches_standalone_fit(own, cross, X, feats, pen):
+    """A fit read off the panel's cross-product against lstsq residuals fed to the
+    design entry: the same zeros, the same objective on the design, certified
+    on it, and own coefficients close to lstsq."""
+    ols, resid = ols_lstsq(feats)
+    fit = fit_elastic_net(X, resid, pen)
+    np.testing.assert_array_equal(cross == 0.0, fit.coef == 0.0)
+    assert objective(X, resid, cross, pen) == pytest.approx(fit.objective, rel=1e-12, abs=0)
+    assert kkt_violation(X, resid, cross, pen) <= DEFAULT_TOL
+    assert_close_to_lstsq(own, ols)
+
+
+def assert_close_to_lstsq(own, ols):
+    """Each coefficient within 1e-9 relative of lstsq's."""
+    np.testing.assert_allclose(own.as_array(), ols, rtol=1e-9, atol=0)
+
+
 def test_fixed_lambdas_reproduce_manual_second_step(two_asset_panel):
     lams = (0.003, 0.007)
     model = fit_hybrid(two_asset_panel, fixed_lambdas=lams)
     np.testing.assert_array_equal(model.selected_lambda, np.array(lams))
     for i in range(2):
         feats_t = build_har_features(two_asset_panel.values[:, i])
-        _, resid = fit_har_ols(feats_t)
         src = 1 - i
         feats_s = build_har_features(two_asset_panel.values[:, src])
         X = np.column_stack([feats_s.daily, feats_s.weekly, feats_s.monthly])
-        fit = fit_elastic_net(X, resid, PenaltySpec(lams[i], model.alpha))
-        np.testing.assert_array_equal(model.cross[i, src], fit.coef)
+        assert_matches_standalone_fit(model.own[i], model.cross[i, src], X, feats_t,
+                                      PenaltySpec(lams[i], model.alpha))
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,12 +137,11 @@ def test_cross_fits_match_standalone_fits_on_unscaled_designs(seed, K, N, log_la
         har = fit_har_panel(panel)
         feats = [build_har_features(values[:, i]) for i in range(K)]
         for i in range(K):
-            _, resid = fit_har_ols(feats[i])
             X = np.column_stack([np.column_stack([f.daily, f.weekly, f.monthly])
                                  for j, f in enumerate(feats) if j != i])
-            fit = fit_elastic_net(X, resid, PenaltySpec(lams[i], model.alpha))
-            np.testing.assert_array_equal(np.delete(model.cross[i], i, axis=0),
-                                          fit.coef.reshape(K - 1, 3))
+            cross = np.delete(model.cross[i], i, axis=0).ravel()
+            assert_matches_standalone_fit(model.own[i], cross, X, feats[i],
+                                          PenaltySpec(lams[i], model.alpha))
             np.testing.assert_array_equal(model.own[i].as_array(),
                                           har.own[i].as_array())
 
@@ -175,9 +197,10 @@ def test_single_asset_fixed_lambda_is_recorded(zero_cross_panel):
     model = fit_hybrid(solo, fixed_lambdas=(0.01,))
     assert model.selected_lambda.tolist() == [0.01]
     assert np.all(model.cross == 0.0)
-    coef, resid = fit_har_ols(build_har_features(solo.values[:, 0]))
-    np.testing.assert_array_equal(model.own[0].as_array(), coef.as_array())
-    np.testing.assert_array_equal(model.residual_cov, np.cov(resid, ddof=1).reshape(1, 1))
+    coef, resid = ols_lstsq(build_har_features(solo.values[:, 0]))
+    assert_close_to_lstsq(model.own[0], coef)
+    np.testing.assert_allclose(model.residual_cov, np.cov(resid, ddof=1).reshape(1, 1),
+                               rtol=1e-12, atol=0)
 
 
 def test_sample_metadata(two_asset_panel):
@@ -244,3 +267,49 @@ def test_predict_rejects_a_history_of_the_wrong_width(two_asset_panel, kind, n_c
         model.predict_one_step(history)
     with pytest.raises(HistoryTooShort):
         model.predict(history)
+
+
+def fit_fixed(panel):
+    return fit_hybrid(panel, fixed_lambdas=(1e-3,) * panel.n_assets)
+
+
+def with_values(panel, values):
+    return RvPanel(panel.dates[:len(values)], panel.assets, values)
+
+
+@pytest.mark.parametrize("fit", [fit_fixed, fit_har_panel])
+@pytest.mark.parametrize("column", ["constant", "trend"])
+def test_constant_or_collinear_features_are_rank_deficient(two_asset_panel, fit, column):
+    # a trend's lag means are its lag-1 value minus constants: collinear, not constant
+    values = two_asset_panel.values.copy()
+    values[:, 1] = 0.2 if column == "constant" else 0.1 + 1e-4 * np.arange(len(values))
+    with pytest.raises(RankDeficientDesign, match="B"):
+        fit(with_values(two_asset_panel, values))
+
+
+@pytest.mark.parametrize("fit", [fit_fixed, fit_har_panel])
+@pytest.mark.parametrize("n_days", [10, 22, 25])
+def test_fewer_than_four_rows_is_too_short(two_asset_panel, fit, n_days):
+    with pytest.raises(SeriesTooShort):
+        fit(with_values(two_asset_panel, two_asset_panel.values[:n_days].copy()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # four rows fit any persistence
+        fit(with_values(two_asset_panel, two_asset_panel.values[:26].copy()))
+
+
+@pytest.mark.parametrize("fit", [fit_fixed, fit_har_panel])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_non_finite_values_or_products_are_refused(two_asset_panel, fit, bad):
+    panel = with_values(two_asset_panel, two_asset_panel.values.copy())
+    panel.values[100, 0] = bad  # RvPanel checks at construction only; 1e300 overflows S
+    with pytest.raises(NonFiniteInput):
+        fit(panel)
+
+
+@pytest.mark.parametrize("fit", [fit_fixed, fit_har_panel])
+def test_warns_per_asset_with_persistence_at_or_above_one(two_asset_panel, fit):
+    values = two_asset_panel.values.copy()
+    values[:, 1] = 0.01 * 1.002 ** np.arange(len(values)) * (1.0 + 0.01 * values[:, 1])
+    with pytest.warns(UserWarning, match=r"HAR persistence \S+ >= 1 for B") as record:
+        fit(with_values(two_asset_panel, values))
+    assert [str(w.message) for w in record if " for A" in str(w.message)] == []

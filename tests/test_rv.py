@@ -18,7 +18,6 @@ from volnet.rv import (
     RvPanel,
     YzConfig,
     read_rv_csv,
-    rogers_satchell_var,
     rv_csv_text,
     yang_zhang_panel,
     yang_zhang_rv,
@@ -26,7 +25,7 @@ from volnet.rv import (
 )
 
 from conftest import gbm_series, make_dates
-from oracles import gbm_ohlc_arrays
+from oracles import gbm_ohlc_arrays, ohlc_bar, rogers_satchell_var
 
 
 def test_yz_weight_values():
@@ -93,7 +92,7 @@ def test_window_loop_oracle():
     for pos, t in enumerate(range(n, 45)):
         o_ret = [np.log(s.open[u] / s.close[u - 1]) for u in range(t - n + 1, t + 1)]
         oc_ret = [np.log(s.close[u] / s.open[u]) for u in range(t - n + 1, t + 1)]
-        rs = [rogers_satchell_var(s.bar(u)) for u in range(t - n + 1, t + 1)]
+        rs = [rogers_satchell_var(ohlc_bar(s, u)) for u in range(t - n + 1, t + 1)]
         rad = np.var(o_ret, ddof=1) + k * np.var(oc_ret, ddof=1) + (1 - k) * np.mean(rs)
         assert out.values[pos] == pytest.approx(np.sqrt(max(rad, 0)) * np.sqrt(252), rel=1e-10)
 
@@ -108,7 +107,7 @@ def test_no_gap_series_drops_overnight_term():
     k = yz_weight(30)
     for pos, t in enumerate(range(30, 60)):
         oc = [np.log(s.close[u] / s.open[u]) for u in range(t - 29, t + 1)]
-        rs = [rogers_satchell_var(s.bar(u)) for u in range(t - 29, t + 1)]
+        rs = [rogers_satchell_var(ohlc_bar(s, u)) for u in range(t - 29, t + 1)]
         expected = np.sqrt(k * np.var(oc, ddof=1) + (1 - k) * np.mean(rs)) * np.sqrt(252)
         assert out.values[pos] == pytest.approx(expected, rel=1e-10)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 
@@ -13,6 +14,7 @@ from volnet.synthetic import (
     generate_synthetic_panel,
     spec_from_dict,
     spec_to_dict,
+    spectral_radius,
     true_hybrid_model,
 )
 
@@ -168,3 +170,40 @@ def test_spec_dict_defaults():
     back = spec_from_dict(d)
     assert back.cross == () and back.seed == 0
     assert back.burn_in == 500 and back.floor == 1e-6
+
+
+def ring_spec(length=2500) -> SyntheticSpec:
+    """Six stable assets (own persistence 0.90 or 0.95) joined by a ring of 0.1
+    edges, A_i -> A_{i+1}, whose horizons cycle daily, weekly, monthly."""
+    assets = tuple(f"A{i}" for i in range(6))
+    own = tuple(HarCoefficients(0.01, 0.4, 0.3, 0.2 if i % 2 else 0.25) for i in range(6))
+    horizons = ("daily", "weekly", "monthly")
+    edges = tuple(PlantedEdge(assets[i], assets[(i + 1) % 6], horizons[i % 3], 0.1)
+                  for i in range(6))
+    return SyntheticSpec(assets=assets, length=length, own=own, cross=edges,
+                         innovation_cov=1e-4 * np.eye(6), seed=1)
+
+
+def test_cross_edges_that_make_the_system_explosive_are_refused():
+    spec = ring_spec()
+    assert max(c.persistence for c in spec.own) < 1.0
+    assert spectral_radius(true_hybrid_model(spec)) >= 1.0
+    with pytest.raises(ExplosiveSpec, match="spectral radius"):
+        generate_synthetic_panel(spec)
+    weaker = dataclasses.replace(spec, cross=tuple(dataclasses.replace(e, value=0.02)
+                                                  for e in spec.cross))
+    assert spectral_radius(true_hybrid_model(weaker)) < 1.0
+    assert np.all(np.isfinite(generate_synthetic_panel(weaker).values))
+
+
+def test_spectral_radius_of_a_univariate_har_is_its_largest_root():
+    own = HarCoefficients(0.01, 0.4, 0.3, 0.2)
+    spec = SyntheticSpec(assets=("A",), length=10, own=(own,), innovation_cov=np.eye(1))
+    # x_t = sum_p a_p x_{t-p}, a_p = b_d [p = 1] + b_w/5 [p <= 5] + b_m/22 [p <= 22]
+    a = np.zeros(22)
+    a[0] += own.beta_d
+    a[:5] += own.beta_w / 5
+    a[:22] += own.beta_m / 22
+    roots = np.roots(np.concatenate([[1.0], -a]))
+    assert spectral_radius(true_hybrid_model(spec)) == pytest.approx(np.max(np.abs(roots)),
+                                                                     rel=1e-9)
