@@ -3,16 +3,19 @@
 Panel rows are resampled in overlapping blocks, jointly across assets so the
 cross-sectional dependence that drives the joint shocks survives resampling.
 Each replicate refits the two-step model at FIXED per-asset regularization
-(no cross-validation inside the loop) and recomputes the response paths;
-bands are pointwise percentiles across replicates.
+(no cross-validation inside the loop); the fitted replicates are traced
+JIRF_BATCH at a time by jirf.batch_jirf, and bands are pointwise percentiles
+across replicates.
 
-Each replicate draws from np.random.default_rng([seed, replicate_index]), so
-the band is bitwise identical whatever the worker-pool size.
+Each replicate draws from np.random.default_rng([seed, replicate_index]), and
+its paths do not depend on the batch it is traced in, so the band is bitwise
+identical whatever the worker-pool size.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,8 +24,12 @@ import numpy as np
 
 from .errors import InvalidConfig, PanelTooShort, TooManyReplicateFailures, VolnetError
 from .hybrid import FitConfig, HybridModel, fit_hybrid
-from .jirf import DEFAULT_HORIZON, ShockGroup, jirf_for_group
+from .jirf import DEFAULT_HORIZON, ShockGroup, batch_jirf, jirf_for_groups
 from .rv import RvPanel
+
+# replicates whose responses are traced in one batch_jirf call; a constant, so
+# memory does not grow with the replication count
+JIRF_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -73,28 +80,32 @@ def block_resample(panel: RvPanel, block_length: int, rng: np.random.Generator) 
     return RvPanel(panel.dates, panel.assets, panel.values[idx])
 
 
-def _replicate_paths(panel: RvPanel, fit_cfg: FitConfig, lambdas: Sequence[float],
-                     groups: Sequence[ShockGroup], horizon: int,
-                     condition_complement: bool) -> np.ndarray:
-    model = fit_hybrid(panel, fit_cfg, fixed_lambdas=lambdas)
-    return np.stack([
-        jirf_for_group(model, g, horizon,
-                       condition_complement=condition_complement).responses
-        for g in groups
-    ])
+def _fit_replicate(panel: RvPanel, fit_cfg: FitConfig, lambdas: Sequence[float],
+                   block_length: int, rng: np.random.Generator) -> HybridModel:
+    """One replicate's model: the panel resampled in blocks, refitted at fixed
+    penalties."""
+    sample = block_resample(panel, block_length, rng)
+    return fit_hybrid(sample, fit_cfg, fixed_lambdas=lambdas)
 
 
-def _run_chunk(args) -> list[tuple[int, np.ndarray | None]]:
+def _run_chunk(args) -> list[tuple[int, np.ndarray | str]]:
+    """Each replicate's G x (H+1) x K responses, or the code of the VolnetError
+    that failed it. Replicates are fitted one by one and traced JIRF_BATCH at a
+    time."""
     panel, fit_cfg, lambdas, groups, horizon, cond, seed, block_length, indices = args
-    out = []
-    for r in indices:
-        rng = np.random.default_rng([seed, r])
-        try:
-            sample = block_resample(panel, block_length, rng)
-            out.append((r, _replicate_paths(sample, fit_cfg, lambdas, groups,
-                                            horizon, cond)))
-        except VolnetError:
-            out.append((r, None))
+    out: list[tuple[int, np.ndarray | str]] = []
+    for start in range(0, len(indices), JIRF_BATCH):
+        fitted = []
+        for r in indices[start:start + JIRF_BATCH]:
+            try:
+                fitted.append((r, _fit_replicate(panel, fit_cfg, lambdas, block_length,
+                                                 np.random.default_rng([seed, r]))))
+            except VolnetError as exc:
+                out.append((r, exc.code))
+        if fitted:
+            paths, errors = batch_jirf([model for _, model in fitted], groups, horizon, cond)
+            out += [(r, resp if err is None else err.code)
+                    for (r, _), resp, err in zip(fitted, paths, errors)]
     return out
 
 
@@ -105,10 +116,11 @@ def bootstrap_jirf(rv: RvPanel, fit_cfg: FitConfig, fixed_lambdas: Sequence[floa
                    point_model: HybridModel | None = None) -> JirfBand:
     """Percentile bands across replicates; the point path is the full-sample fit.
 
-    Replicates that fail to fit (e.g. an explosive resample) are skipped and
-    counted; more than cfg.max_failure_rate of them aborts the run. A given
-    point_model must hold the panel's assets in the panel's order, since its
-    per-asset penalties and responses are paired with the panel's columns.
+    Replicates that fail to fit or to trace (e.g. an explosive resample) are
+    skipped and counted; more than cfg.max_failure_rate of them aborts the run
+    with the count per error code. A given point_model must hold the panel's
+    assets in the panel's order, since its per-asset penalties and responses
+    are paired with the panel's columns.
     """
     groups = list(groups)
     if point_model is None:
@@ -116,14 +128,10 @@ def bootstrap_jirf(rv: RvPanel, fit_cfg: FitConfig, fixed_lambdas: Sequence[floa
     elif point_model.assets != rv.assets:
         raise InvalidConfig(f"model assets {list(point_model.assets)} differ from the "
                             f"panel's {list(rv.assets)}")
-    point = np.stack([
-        jirf_for_group(point_model, g, horizon,
-                       condition_complement=condition_complement).responses
-        for g in groups
-    ])
+    point = jirf_for_groups(point_model, groups, horizon, condition_complement)
 
     R = cfg.replications
-    results: list[np.ndarray | None] = [None] * R
+    results: list[np.ndarray | str | None] = [None] * R
     payload_static = (rv, fit_cfg, tuple(float(l) for l in fixed_lambdas),
                       tuple(groups), horizon, condition_complement,
                       cfg.seed, cfg.block_length)
@@ -138,10 +146,11 @@ def bootstrap_jirf(rv: RvPanel, fit_cfg: FitConfig, fixed_lambdas: Sequence[floa
         for r, resp in _run_chunk(payload_static + (list(range(R)),)):
             results[r] = resp
 
-    good = [resp for resp in results if resp is not None]
+    good = [resp for resp in results if not isinstance(resp, str)]
     n_failed = R - len(good)
     if n_failed / R > cfg.max_failure_rate:
-        raise TooManyReplicateFailures(n_failed, R)
+        raise TooManyReplicateFailures(
+            n_failed, R, Counter(resp for resp in results if isinstance(resp, str)))
 
     stacked = np.stack(good)  # R_eff x G x (H+1) x K
     tail = (1.0 - cfg.ci_level) / 2.0

@@ -130,13 +130,11 @@ def _check_bands(text: str, assets: Sequence[str]) -> None:
 
 def _jirf_csv(model, groups: Sequence[jirf.ShockGroup], horizon: int,
               condition_complement: bool, comments: list[str]) -> str:
-    rows = []
-    for g in groups:
-        path = jirf.jirf_for_group(model, g, horizon,
-                                   condition_complement=condition_complement)
-        rows += [f"{g.name},{asset},{hzn},{_fmt(v)}"
-                 for hzn, row in enumerate(path.responses)
-                 for asset, v in zip(model.assets, row)]
+    paths = jirf.jirf_for_groups(model, groups, horizon, condition_complement)
+    rows = [f"{g.name},{asset},{hzn},{_fmt(v)}"
+            for g, responses in zip(groups, paths)
+            for hzn, row in enumerate(responses)
+            for asset, v in zip(model.assets, row)]
     return _csv_text(comments, "group,asset,horizon,response", rows)
 
 

@@ -116,10 +116,13 @@ class PanelTooShort(VolnetError):
 
 
 class TooManyReplicateFailures(VolnetError):
-    def __init__(self, n_failed: int, n_total: int):
+    def __init__(self, n_failed: int, n_total: int, by_code: dict[str, int]):
         self.n_failed = n_failed
         self.n_total = n_total
-        super().__init__(f"{n_failed} of {n_total} replicates failed")
+        self.by_code = dict(sorted(by_code.items()))
+        detail = ", ".join(f"{code}: {n}" for code, n in self.by_code.items())
+        super().__init__(f"{n_failed} of {n_total} replicates failed"
+                         + (f" ({detail})" if detail else ""))
 
 
 # --- evaluation ---

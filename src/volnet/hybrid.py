@@ -118,12 +118,18 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     Xr = (S[:P] @ B) / scale[:, None]  # column i: X'r for asset i's OLS residual, scaled
     G = (S[:P, :P] + M * np.outer(mu, mu)) / np.outer(scale, scale)
 
+    # row i: asset i's cross columns; one gather reads every asset's Gram block
+    # and right-hand side
+    kc_all = np.nonzero(np.arange(P) // 3 != k[:, None])[1].reshape(K, P - 3)
+    G_blocks = G[kc_all[:, :, None], kc_all[:, None, :]]  # K x (P-3) x (P-3)
+    Xr_blocks = Xr[kc_all, k[:, None]]                    # K x (P-3)
+
     cross = np.zeros((K, K, 3))
     lambdas = np.zeros(K)
     for i in range(K):
-        kc = np.flatnonzero(np.arange(P) // 3 != i)  # asset i's cross columns
+        kc = kc_all[i]
         r = resid[i]
-        stats = Moments(G[np.ix_(kc, kc)], Xr[kc, i], float(r @ r), M)
+        stats = Moments(G_blocks[i], Xr_blocks[i], float(r @ r), M)
         if fixed_lambdas is not None:
             lam = float(fixed_lambdas[i])
         else:

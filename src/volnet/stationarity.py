@@ -12,10 +12,10 @@ approximations, adequate for reject / fail-to-reject calls.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import RankDeficientDesign, SeriesTooShort
 
@@ -70,7 +70,8 @@ def mackinnon_pvalue(tau: float) -> float:
     if tau >= _TAU_MAX:
         return 1.0
     coeffs = _SMALL_P if tau <= _TAU_STAR else _LARGE_P
-    return float(norm.cdf(sum(c * tau ** k for k, c in enumerate(coeffs))))
+    x = sum(c * tau ** k for k, c in enumerate(coeffs))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))  # the standard normal cdf
 
 
 def _checked_series(series: np.ndarray) -> np.ndarray:

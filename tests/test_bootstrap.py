@@ -7,7 +7,13 @@ from volnet.bootstrap import (
     block_resample,
     bootstrap_jirf,
 )
-from volnet.errors import ExplosiveModel, PanelTooShort, TooManyReplicateFailures, VolnetError
+from volnet.errors import (
+    ExplosiveModel,
+    PanelTooShort,
+    RankDeficientDesign,
+    TooManyReplicateFailures,
+    VolnetError,
+)
 from volnet.har import HarCoefficients
 from volnet.hybrid import FitConfig, fit_hybrid
 from volnet.jirf import ShockGroup, jirf_for_group
@@ -138,7 +144,7 @@ def test_band_matches_manual_replication(boot_panel):
 def test_failed_replicates_counted_then_abort(boot_panel, monkeypatch):
     import volnet.bootstrap as bs
 
-    real = bs._replicate_paths
+    real = bs._fit_replicate
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -147,7 +153,7 @@ def test_failed_replicates_counted_then_abort(boot_panel, monkeypatch):
             raise ExplosiveModel("synthetic failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bs, "_replicate_paths", flaky)
+    monkeypatch.setattr(bs, "_fit_replicate", flaky)
     cfg = BootstrapConfig(block_length=80, replications=10, seed=2,
                           max_failure_rate=0.25)
     band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg, horizon=4)
@@ -199,3 +205,49 @@ def test_rank_deficient_replicates_are_counted_as_failed(boot_panel, monkeypatch
     band = bootstrap_jirf(panel, FitConfig(), LAMBDAS, GROUPS[:1], cfg, horizon=4)
     assert raised and set(raised) == {"RankDeficientDesign"}
     assert band.n_failed == len(raised) and band.n_effective == 20 - len(raised)
+
+
+def test_bands_identical_for_one_two_and_three_workers(boot_panel):
+    # with three workers array_split makes twelve one-replicate chunks, so each
+    # replicate is traced alone; serially they share one batch
+    base = dict(block_length=40, replications=12, seed=9)
+    bands = [bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS,
+                            BootstrapConfig(n_jobs=n, **base), horizon=6)
+             for n in (1, 2, 3)]
+    for band in bands[1:]:
+        np.testing.assert_array_equal(band.lower, bands[0].lower)
+        np.testing.assert_array_equal(band.upper, bands[0].upper)
+        np.testing.assert_array_equal(band.point, bands[0].point)
+
+
+def test_failures_are_counted_per_error_code(boot_panel, monkeypatch):
+    # replicates 0 and 5 fail to fit; 1 and 6 fit an explosive model, which
+    # the batched trace refuses while tracing its batch's other replicates
+    import dataclasses
+
+    import volnet.bootstrap as bs
+
+    real = bs._fit_replicate
+    calls = {"n": 0}
+
+    def failing(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] % 5 == 1:
+            raise RankDeficientDesign("synthetic failure")
+        model = real(*args, **kwargs)
+        if calls["n"] % 5 == 2:
+            return dataclasses.replace(model, own=(HarCoefficients(0.0, 0.6, 0.3, 0.2),) * 2)
+        return model
+
+    monkeypatch.setattr(bs, "_fit_replicate", failing)
+    cfg = BootstrapConfig(block_length=80, replications=10, seed=2, max_failure_rate=0.5)
+    band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg, horizon=4)
+    assert band.n_failed == 4 and band.n_effective == 6
+
+    calls["n"] = 0
+    strict = dataclasses.replace(cfg, max_failure_rate=0.05)
+    with pytest.raises(TooManyReplicateFailures) as exc:
+        bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, strict, horizon=4)
+    assert exc.value.by_code == {"ExplosiveModel": 2, "RankDeficientDesign": 2}
+    assert str(exc.value) == ("4 of 10 replicates failed "
+                              "(ExplosiveModel: 2, RankDeficientDesign: 2)")

@@ -660,3 +660,13 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "volnet" in proc.stdout and "bootstrap" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    # every command imports volnet.cli; scipy would add most of a second and
+    # about 60 MB to each start
+    code = ("import sys, volnet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

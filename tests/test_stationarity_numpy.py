@@ -28,6 +28,17 @@ def test_mackinnon_pvalue_at_published_critical_values(tau, p):
     assert abs(mackinnon_pvalue(tau) - p) <= 1e-3
 
 
+def test_mackinnon_pvalue_matches_scipy_normal_cdf():
+    # the p-value's normal cdf is math.erfc; scipy is a test-only dependency
+    norm = pytest.importorskip("scipy.stats").norm
+    from volnet.stationarity import _LARGE_P, _SMALL_P, _TAU_MAX, _TAU_MIN, _TAU_STAR
+
+    for tau in np.linspace(_TAU_MIN, _TAU_MAX, 4001)[1:-1]:
+        coeffs = _SMALL_P if tau <= _TAU_STAR else _LARGE_P
+        want = norm.cdf(sum(c * tau ** k for k, c in enumerate(coeffs)))
+        assert mackinnon_pvalue(tau) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def _series_with_kpss_stat(target: float) -> np.ndarray:
     """Noise plus theta times a random walk, theta bisected until the KPSS
     statistic (monotone in theta on this draw) equals target."""
