@@ -148,6 +148,9 @@ def cmd_rv(args) -> int:
         assets = sorted(p.stem for p in data_dir.glob("*.csv"))
     if not assets:
         raise InvalidConfig(f"no asset CSVs found under {data_dir}")
+    repeated = sorted({a for a in assets if assets.count(a) > 1})
+    if repeated:
+        raise InvalidConfig(f"--assets names {', '.join(repeated)} more than once")
     series = [ingest.load_ohlc_csv(data_dir / f"{a}.csv", asset=a) for a in assets]
     panel = ingest.align_panel(series)
     cfg = rv.YzConfig(args.window, args.annualization)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import datetime as dt
 import operator
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +27,7 @@ from .errors import (
     UnparseableRow,
     WindowTooSmall,
 )
-from .ingest import OhlcPanel, OhlcSeries
+from .ingest import OhlcPanel, OhlcSeries, is_iso_date, parse_values
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,9 @@ def read_rv_csv(path: str | Path) -> RvPanel:
     ISO date and one finite number per asset, and the dates strictly
     increase. The numbers are parsed as one block by np.loadtxt. A defect
     raises MissingColumn (no header, no asset column), SeriesTooShort (no
-    data row), UnparseableRow (a ragged row, a bad date, a non-numeric or
-    non-finite value) or DatesNotIncreasing, naming the line of the file.
+    data row), UnparseableRow (an asset column named twice in the header, a
+    ragged row, a bad date, a non-numeric or non-finite value) or
+    DatesNotIncreasing, naming the line of the file.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -146,15 +146,18 @@ def read_rv_csv(path: str | Path) -> RvPanel:
     assets = tuple(header[1:])
     if not assets:
         raise MissingColumn(f"line {kept[0] + 1}: RV header names no asset column")
+    repeat = next((a for i, a in enumerate(assets) if a in assets[:i]), None)
+    if repeat is not None:
+        raise UnparseableRow(kept[0] + 1, f"RV header repeats asset column {repeat!r}")
     body = kept[1:]
     if not body:
         raise SeriesTooShort("RV file has no data rows")
     K = len(assets)
     heads, tails = zip(*(lines[i].partition(",")[::2] for i in body))
 
-    values = _parse_values(tails, K)
+    values = parse_values(tails, K)
     if values is None:
-        k = next(k for k, tail in enumerate(tails) if _parse_values([tail], K) is None)
+        k = next(k for k, tail in enumerate(tails) if parse_values([tail], K) is None)
         row = lines[body[k]]
         n_fields = len(row.split(","))
         raise UnparseableRow(body[k] + 1, f"{n_fields} fields, expected {K + 1}"
@@ -165,29 +168,9 @@ def read_rv_csv(path: str | Path) -> RvPanel:
     try:
         dates = tuple(map(dt.date.fromisoformat, heads))
     except ValueError:
-        k = next(k for k, head in enumerate(heads) if not _is_iso_date(head))
+        k = next(k for k, head in enumerate(heads) if not is_iso_date(head))
         raise UnparseableRow(body[k] + 1, f"bad date {heads[k]!r}") from None
     if not all(map(operator.lt, dates, dates[1:])):
         k = next(k for k in range(1, len(dates)) if dates[k] <= dates[k - 1])
         raise DatesNotIncreasing(body[k] + 1, dates[k], dates[k - 1])
     return RvPanel(dates, assets, values)
-
-
-def _parse_values(rows: Sequence[str], n_columns: int) -> np.ndarray | None:
-    """rows as a len(rows) x n_columns float array; None if any row is not
-    n_columns numbers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns on input of blank rows only
-        try:
-            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    return values if values.shape == (len(rows), n_columns) else None
-
-
-def _is_iso_date(text: str) -> bool:
-    try:
-        dt.date.fromisoformat(text)
-    except ValueError:
-        return False
-    return True

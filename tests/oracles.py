@@ -8,11 +8,14 @@ hand on a sorted copy.
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
 import math
 
 import numpy as np
 
-from volnet.ingest import OhlcBar
+from volnet.errors import DuplicateDate, MissingColumn, UnparseableRow
+from volnet.ingest import REQUIRED_COLUMNS, OhlcBar, OhlcSeries
 
 
 def enet_objective(X: np.ndarray, y: np.ndarray, g: np.ndarray,
@@ -94,6 +97,43 @@ def residual_covariance(model, rv) -> np.ndarray:
     resid = rv.values[m:] - model.predict(rv.values[:-1])
     cov = np.cov(resid, rowvar=False, ddof=1).reshape(K, K)
     return 0.5 * (cov + cov.T)
+
+
+def load_ohlc_rows(path, asset: str) -> OhlcSeries:
+    """An OHLC CSV read one row at a time: csv records, float() per price and
+    a validated OhlcBar per row, so the first defective row in file order
+    raises; then a sort by date and a scan for a repeated date."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumn("empty file") from None
+        col_idx = {name.strip().lower(): i for i, name in enumerate(header)}
+        for name in REQUIRED_COLUMNS:
+            if name not in col_idx:
+                raise MissingColumn(name)
+        idx = [col_idx[name] for name in REQUIRED_COLUMNS]
+
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                date = dt.date.fromisoformat(row[idx[0]].strip())
+                prices = tuple(float(row[i]) for i in idx[1:])
+            except (ValueError, IndexError) as exc:
+                raise UnparseableRow(line_no, str(exc)) from None
+            OhlcBar(date, *prices)
+            rows.append((date, *prices))
+
+    rows.sort(key=lambda r: r[0])
+    for prev, cur in zip(rows, rows[1:]):
+        if prev[0] == cur[0]:
+            raise DuplicateDate(cur[0])
+    cols = np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4)
+    return OhlcSeries(asset, tuple(r[0] for r in rows), cols[:, 0], cols[:, 1],
+                      cols[:, 2], cols[:, 3])
 
 
 def ohlc_bar(series, i: int) -> OhlcBar:

@@ -122,6 +122,53 @@ def test_rv_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("defect, code, detail", [
+    ("inf", "PriceInvariantViolation", "2018-01-05: non-finite price"),
+    ("nan", "PriceInvariantViolation", "2018-01-05: non-finite price"),
+    ("header only", "SeriesTooShort", "NG.csv"),
+])
+def test_rv_rejects_a_bad_ohlc_file_where_it_enters(tmp_path, capsys, defect, code, detail):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ohlc_csv(data / "CL.csv", 60, seed=1)
+    write_ohlc_csv(data / "NG.csv", 60, seed=2)
+    lines = (data / "NG.csv").read_text().splitlines()
+    if defect == "header only":
+        lines = lines[:1]
+    else:  # the high of 2018-01-05
+        cells = lines[5].split(",")
+        cells[2] = defect
+        lines[5] = ",".join(cells)
+    (data / "NG.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rv.csv"
+    assert main(["rv", "--data-dir", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"volnet: code={code}") and detail in err
+    assert not out.exists()
+
+
+def test_rv_rejects_repeated_assets(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ohlc_csv(data / "CL.csv", 60, seed=1)
+    out = tmp_path / "rv.csv"
+    assert main(["rv", "--data-dir", str(data), "--assets", "CL, CL", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("volnet: code=InvalidConfig") and "CL" in err
+    assert not out.exists()
+
+
+def test_fit_rejects_an_rv_file_that_repeats_an_asset(tmp_path, capsys):
+    path = tmp_path / "rv.csv"
+    path.write_text("# config=abc\ndate,A,B,A\n" + "".join(
+        f"2020-01-{d:02d},0.2,0.3,0.2\n" for d in range(1, 29)))
+    out = tmp_path / "model.json"
+    assert main(["fit", "--rv", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("volnet: code=UnparseableRow") and "line 2" in err and "'A'" in err
+    assert not out.exists()
+
+
 def test_every_output_embeds_config_hash(workdir):
     for key in ("rv", "network", "jirf", "boot", "diag", "forecast"):
         first = comment_lines(workdir[key])[0]

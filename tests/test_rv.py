@@ -240,6 +240,12 @@ def test_csv_reader_rejects_file_without_rows(tmp_path):
         _read(tmp_path, "date,A,B", [])
 
 
+def test_csv_reader_rejects_a_repeated_asset_column(tmp_path):
+    with pytest.raises(UnparseableRow, match="line 2: RV header repeats asset column 'A'") as exc:
+        _read(tmp_path, "date,A,B,A", ["2020-01-02,0.2,0.3,0.2"])
+    assert exc.value.line_number == 2
+
+
 @pytest.mark.parametrize("row, detail", [
     ("2020-01-07,0.2", "line 6: 2 fields, expected 3"),
     ("2020-01-07,0.2,0.3,0.4", "line 6: 4 fields, expected 3"),
