@@ -1,10 +1,17 @@
 """Command-line pipeline: OHLC ingestion through bootstrap bands.
 
 Outputs are CSV for tables and JSON for models; every file embeds the hash
-of the effective configuration (as a `#` header comment or a JSON field) and
-is written atomically via a temp file and rename. Reruns with identical
-inputs and seeds produce byte-identical files: no timestamps, and float
-formatting uses the shortest round-trip representation.
+of the effective configuration (as a `#` header comment or a JSON field).
+Reruns with identical inputs and seeds produce byte-identical files: no
+timestamps, and float formatting uses the shortest round-trip
+representation.
+
+Every output goes through `_atomic_write`: the UTF-8 bytes are written to
+a temp file in the output's directory and renamed over it, so a reader sees
+the old file or the new one, never a partial one. An output whose bytes are
+already on disk is left in place with its mtime bumped, so a rerun makes no
+rename. A written file gets the mode open(path, "w") would give: 0o666 less
+the umask read at import.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -35,12 +43,44 @@ from .hybrid import (
 )
 
 
+# the mode open(path, "w") gives a new file, where mkstemp gives 0600; setting
+# the umask is the only way to read it, so it is set back at once
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
+
+def _keep_if_same(path: Path, data: bytes) -> bool:
+    """If path is a regular file whose bytes are exactly data, bump its mtime
+    and return True; False when it is not, or on any OSError on the way."""
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != len(data):
+            return False
+        with open(path, "rb") as fh:
+            if fh.read() != data:
+                return False
+        os.utime(path)
+    except OSError:
+        return False
+    return True
+
+
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8, atomically: readers see the old file or
+    the new one, never a partial one. A path that already holds these bytes
+    is left in place with its mtime bumped: renaming over an existing file
+    can force a writeback of the new file's data (ext4's auto_da_alloc),
+    which costs far more than reading the old one."""
     path = Path(path)
+    data = text.encode()
+    if _keep_if_same(path, data):
+        return
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), _FILE_MODE)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

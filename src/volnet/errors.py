@@ -19,28 +19,32 @@ class MissingColumn(VolnetError):
     pass
 
 
+def _in_file(path, msg: str) -> str:
+    return msg if path is None else f"{path}: {msg}"
+
+
 class UnparseableRow(VolnetError):
-    def __init__(self, line_number: int, detail: str = ""):
+    def __init__(self, line_number: int, detail: str = "", path=None):
         self.line_number = line_number
         msg = f"line {line_number}"
         if detail:
             msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(_in_file(path, msg))
 
 
 class PriceInvariantViolation(VolnetError):
-    def __init__(self, date, detail: str = ""):
+    def __init__(self, date, detail: str = "", path=None):
         self.date = date
         msg = str(date)
         if detail:
             msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(_in_file(path, msg))
 
 
 class DuplicateDate(VolnetError):
-    def __init__(self, date):
+    def __init__(self, date, path=None):
         self.date = date
-        super().__init__(str(date))
+        super().__init__(_in_file(path, str(date)))
 
 
 class EmptyIntersection(VolnetError):

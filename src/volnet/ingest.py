@@ -146,6 +146,7 @@ def load_ohlc_csv(path: str | Path, asset: str | None = None) -> OhlcSeries:
     non-positive price or high/low that do not bracket open/close. A file
     with no bar raises SeriesTooShort. Bars are then sorted by one stable
     argsort of their dates, and a date on two lines raises DuplicateDate.
+    Every error's message starts with the file's path.
     """
     path = Path(path)
     if asset is None:
@@ -153,12 +154,12 @@ def load_ohlc_csv(path: str | Path, asset: str | None = None) -> OhlcSeries:
     with open(path) as fh:
         text = fh.read()
     if not text:
-        raise MissingColumn("empty file")
+        raise MissingColumn(f"{path}: empty file")
     header, *lines = text.split("\n")
     col_idx = {name.strip().lower(): i for i, name in enumerate(next(csv.reader([header]), []))}
     for name in REQUIRED_COLUMNS:
         if name not in col_idx:
-            raise MissingColumn(name)
+            raise MissingColumn(f"{path}: no column {name!r}")
     date_col, *price_cols = (col_idx[name] for name in REQUIRED_COLUMNS)
     width = max(date_col, *price_cols) + 1
 
@@ -186,20 +187,20 @@ def load_ohlc_csv(path: str | Path, asset: str | None = None) -> OhlcSeries:
 
     defect = bar_defect(*values.T)
     if defect:
-        raise PriceInvariantViolation(dates[defect[0]], defect[1])
+        raise PriceInvariantViolation(dates[defect[0]], defect[1], path=path)
     if n < len(rows):
         row = rows[n]
         raise UnparseableRow(body[n] + 2, "a quoted cell does not close on its line" if row is None
                              else f"{len(row)} fields, need {width}" if len(row) < width
                              else f"bad date {row[date_col].strip()!r}"
                              if not is_iso_date(row[date_col].strip())
-                             else f"non-numeric price in {bar_lines[n]!r}")
+                             else f"non-numeric price in {bar_lines[n]!r}", path=path)
 
     ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=n)
     order = np.argsort(ordinals, kind="stable")
     repeats = np.flatnonzero(np.diff(ordinals[order]) == 0)
     if repeats.size:
-        raise DuplicateDate(dates[order[repeats[0]]])
+        raise DuplicateDate(dates[order[repeats[0]]], path=path)
     cols = values[order]
     return OhlcSeries(asset, tuple(map(dates.__getitem__, order.tolist())),
                       cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])

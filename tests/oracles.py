@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from volnet.errors import DuplicateDate, MissingColumn, UnparseableRow
-from volnet.ingest import REQUIRED_COLUMNS, OhlcBar, OhlcSeries
+from volnet.errors import DuplicateDate, MissingColumn, PriceInvariantViolation, UnparseableRow
+from volnet.ingest import REQUIRED_COLUMNS, OhlcBar, OhlcSeries, bar_defect
 
 
 def enet_objective(X: np.ndarray, y: np.ndarray, g: np.ndarray,
@@ -101,18 +101,19 @@ def residual_covariance(model, rv) -> np.ndarray:
 
 def load_ohlc_rows(path, asset: str) -> OhlcSeries:
     """An OHLC CSV read one row at a time: csv records, float() per price and
-    a validated OhlcBar per row, so the first defective row in file order
-    raises; then a sort by date and a scan for a repeated date."""
+    the bar rule per row, so the first defective row in file order raises;
+    then a sort by date and a scan for a repeated date. Every error names
+    the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise MissingColumn("empty file") from None
+            raise MissingColumn(f"{path}: empty file") from None
         col_idx = {name.strip().lower(): i for i, name in enumerate(header)}
         for name in REQUIRED_COLUMNS:
             if name not in col_idx:
-                raise MissingColumn(name)
+                raise MissingColumn(f"{path}: no column {name!r}")
         idx = [col_idx[name] for name in REQUIRED_COLUMNS]
 
         rows = []
@@ -123,14 +124,16 @@ def load_ohlc_rows(path, asset: str) -> OhlcSeries:
                 date = dt.date.fromisoformat(row[idx[0]].strip())
                 prices = tuple(float(row[i]) for i in idx[1:])
             except (ValueError, IndexError) as exc:
-                raise UnparseableRow(line_no, str(exc)) from None
-            OhlcBar(date, *prices)
+                raise UnparseableRow(line_no, str(exc), path=path) from None
+            defect = bar_defect(*prices)
+            if defect:
+                raise PriceInvariantViolation(date, defect[1], path=path)
             rows.append((date, *prices))
 
     rows.sort(key=lambda r: r[0])
     for prev, cur in zip(rows, rows[1:]):
         if prev[0] == cur[0]:
-            raise DuplicateDate(cur[0])
+            raise DuplicateDate(cur[0], path=path)
     cols = np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4)
     return OhlcSeries(asset, tuple(r[0] for r in rows), cols[:, 0], cols[:, 1],
                       cols[:, 2], cols[:, 3])

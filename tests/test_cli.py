@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -147,6 +148,24 @@ def test_rv_rejects_a_bad_ohlc_file_where_it_enters(tmp_path, capsys, defect, co
     assert not out.exists()
 
 
+
+def test_rv_error_names_the_bad_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ohlc_csv(data / "A.csv", 60, seed=1)
+    write_ohlc_csv(data / "B.csv", 60, seed=2)
+    lines = (data / "B.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "inf"
+    lines[5] = ",".join(cells)
+    (data / "B.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rv.csv"
+    assert main(["rv", "--data-dir", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("volnet: code=PriceInvariantViolation")
+    assert f"{data / 'B.csv'}: 2018-01-05: non-finite price" in err
+    assert "A.csv" not in err
+
 def test_rv_rejects_repeated_assets(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -274,6 +293,21 @@ def test_report_with_precomputed_bands(workdir, tmp_path):
     summary = json.loads((out / "report.json").read_text())
     assert summary["figures"]["jirf_bands"] == "jirf_bands.csv"
 
+
+def test_report_rerun_leaves_its_unchanged_outputs_in_place(workdir, tmp_path, monkeypatch):
+    args = ["report", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
+            "--groups", str(workdir["groups"]), "--horizon", "6", "--out-dir",
+            str(tmp_path / "rep")]
+    assert main(args) == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / "rep").iterdir()}
+    assert set(first) == {"report.json", "rv_series.csv", "coefficient_matrix.csv",
+                          "jirf_paths.csv"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unchanged output must not be rewritten")
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(args) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "rep").iterdir()} == first
 
 @pytest.mark.parametrize("extra", [["--bands", "BANDS", "--groups", "/nonexistent/groups.json"],
                                    ["--bands", "BANDS", "--horizon", "7"],

@@ -82,6 +82,26 @@ def test_load_duplicate_date(tmp_path):
         load_ohlc_csv(f)
 
 
+
+@pytest.mark.parametrize("header, rows, error, attr, value", [
+    ("date,open,high,close", ["2020-01-01,100,102,101"], MissingColumn, None, None),
+    ("", [], MissingColumn, None, None),
+    ("date,open,high,low,close", ["2020-01-01,100,102,99,101", "2020-01-02,abc,102,99,101"],
+     UnparseableRow, "line_number", 3),
+    ("date,open,high,low,close", ["2020-01-01,100,99,101,100"],
+     PriceInvariantViolation, "date", dt.date(2020, 1, 1)),
+    ("date,open,high,low,close", ["2020-01-01,100,102,99,101"] * 2,
+     DuplicateDate, "date", dt.date(2020, 1, 1)),
+])
+def test_load_errors_name_the_file(tmp_path, header, rows, error, attr, value):
+    f = tmp_path / "ES.csv"
+    f.write_text("\n".join([header] + rows) + "\n" if header else "")
+    with pytest.raises(error) as exc:
+        load_ohlc_csv(f)
+    assert str(exc.value).startswith(f"{f}: ")
+    if attr:
+        assert getattr(exc.value, attr) == value
+
 def bar(date, o=100.0, h=102.0, l=99.0, c=101.0):
     return OhlcBar(date, o, h, l, c)
 
