@@ -23,14 +23,7 @@ from .evaluate import (
     rolling_forecast,
     split_train_test,
 )
-from .har import (
-    HarCoefficients,
-    HarFeatures,
-    HarModelSet,
-    build_har_features,
-    fit_har_ols,
-    fit_har_panel,
-)
+from .har import HarCoefficients, HarModelSet, fit_har_ols, fit_har_panel
 from .hybrid import (
     FitConfig,
     HybridModel,
@@ -62,8 +55,7 @@ __all__ = [
     "VolnetError",
     "ForecastReport", "build_forecast_report", "forecast_metrics",
     "rolling_forecast", "split_train_test",
-    "HarCoefficients", "HarFeatures", "HarModelSet", "build_har_features",
-    "fit_har_ols", "fit_har_panel",
+    "HarCoefficients", "HarModelSet", "fit_har_ols", "fit_har_panel",
     "FitConfig", "HybridModel", "NetworkSummary", "fit_hybrid", "spillover_network",
     "OhlcBar", "OhlcPanel", "OhlcSeries", "align_panel", "load_ohlc_csv",
     "JirfPath", "ShockGroup", "joint_shock", "simulate_jirf",

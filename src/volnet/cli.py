@@ -101,13 +101,15 @@ def _load_model(path: str):
 
 
 def _load_groups(path: str, assets: Sequence[str]) -> list[jirf.ShockGroup]:
-    """Shock groups from a JSON object mapping each group name to a non-empty
-    list of distinct asset names, all of them in `assets`."""
+    """Shock groups from a JSON object mapping each group name, one CSV cell,
+    to a non-empty list of distinct asset names, all of them in `assets`."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not data:
         raise InvalidConfig("groups file must map group name -> asset list")
     for name, members in data.items():
+        if not rv.is_csv_name(name):
+            raise InvalidConfig(f"group name {name!r} is blank or holds , \" or a line break")
         if (not isinstance(members, list) or not members
                 or not all(isinstance(a, str) and a in assets for a in members)
                 or len(set(members)) != len(members)):
@@ -264,13 +266,17 @@ def cmd_jirf(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    cfg = _run_config(args)
     # flag > config file > default: flags default to None, so an absent flag
-    # leaves the config file's value in place
-    flags = {"block_length": args.block, "replications": args.reps, "ci_level": args.ci,
-             "seed": args.seed}
-    bcfg = dataclasses.replace(cfg.bootstrap, n_jobs=_n_jobs(),
-                               **{k: v for k, v in flags.items() if v is not None})
+    # leaves the config file's value in place. A flag is checked, before any
+    # file is read, as the same value in a config file is.
+    flags = {k: v for k, v in {"block_length": args.block, "replications": args.reps,
+                               "ci_level": args.ci, "seed": args.seed}.items() if v is not None}
+    try:
+        boot.BootstrapConfig(**flags)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from None
+    cfg = _run_config(args)
+    bcfg = dataclasses.replace(cfg.bootstrap, n_jobs=_n_jobs(), **flags)
     panel = rv.read_rv_csv(args.rv)
     model = _load_model(args.model)
     groups = _load_groups(args.groups, model.assets)
@@ -461,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "horizon", None) is not None and args.horizon < 0:
+            raise InvalidConfig(f"--horizon must be >= 0, got {args.horizon}")
         return args.func(args)
     except VolnetError as exc:
         detail = str(exc).replace("\n", " ")

@@ -7,11 +7,16 @@ Objective, for an M x P design X and target y with no intercept:
 
 The residual sum of squares is divided by M (mean-squared-error form) so lam
 is comparable across sample sizes; textbook displays of the same penalty often
-omit the 1/M. Columns are scaled to unit sample variance internally (scaled,
-not centered; there is no intercept to absorb centering) and coefficients are
-mapped back to the original feature scale on return.
+omit the 1/M. The solver reads a problem only through its sufficient
+statistics X'X, X'y and M (`Moments`), and fits it in the units they were
+formed in. Callers form them on columns scaled to unit sample standard
+deviation (scaled, not centered; there is no intercept to absorb centering)
+and map coefficients back: cross-validation forms each fold's scaled Gram once
+for its whole lambda path, and the hybrid estimator reads every cross block's
+Gram off one cross-product of the panel. A fit then costs only its active-set
+solves on P x P blocks; P = 3(K-1) here.
 
-With q = (2/M) X'y and G = (2/M) X'X on the scaled columns, g is optimal when
+With q = (2/M) X'y and G = (2/M) X'X, g is optimal when
 c = q - (G + lam(1-alpha) I) g satisfies the KKT conditions
 
     c_j = lam*alpha*sign(g_j)  where g_j != 0,    |c_j| <= lam*alpha  where g_j = 0.
@@ -29,14 +34,6 @@ violation joins A before the next step. In exact arithmetic each step lowers
 F and no active set recurs with the same signs, so the search reaches the
 optimum in finitely many steps; it stops when the KKT conditions hold to a
 tolerance, not when steps get small.
-
-The search reads the data only through its sufficient statistics X'X, X'y,
-y'y and M (`Moments`), so `fit_elastic_net` has two entries to one solver: a
-design and target, from which it forms them, or the statistics themselves.
-Callers that already hold a Gram pass it directly: cross-validation forms
-each fold's scaled Gram once for its whole lambda path, and the hybrid
-estimator reads every cross block's Gram off one cross-product of the panel.
-A fit then costs only its active-set solves on P x P blocks; P = 3(K-1) here.
 """
 
 from __future__ import annotations
@@ -68,10 +65,9 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class ElasticNetFit:
-    coef: np.ndarray      # original feature scale
+    coef: np.ndarray      # in the units of the fitted statistics
     n_sweeps: int         # solver iterations
     converged: bool
-    objective: float      # final value of F on the scaled problem
 
 
 @dataclass(frozen=True)
@@ -84,11 +80,11 @@ class CvResult:
 
 @dataclass(frozen=True)
 class Moments:
-    """Sufficient statistics of a no-intercept least-squares problem: X'X (P x P),
-    X'y (P), y'y and the row count n, in the units the problem is fitted in."""
+    """Sufficient statistics of a no-intercept least-squares problem for the
+    solver: X'X (P x P), X'y (P) and the row count n, in the units the problem
+    is fitted in."""
     xtx: np.ndarray
     xty: np.ndarray
-    yty: float
     n: int
 
     def __post_init__(self):
@@ -99,7 +95,7 @@ class Moments:
 
     @classmethod
     def of(cls, X: np.ndarray, y: np.ndarray) -> "Moments":
-        return cls(X.T @ X, X.T @ y, float(y @ y), X.shape[0])
+        return cls(X.T @ X, X.T @ y, X.shape[0])
 
 
 def _column_scales(X: np.ndarray) -> np.ndarray:
@@ -115,59 +111,33 @@ def _column_scales(X: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(s) & (s > 0), s, 1.0)
 
 
-def fit_elastic_net(X: np.ndarray | Moments, y: np.ndarray | None, pen: PenaltySpec,
-                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    standardize: bool = True,
+def fit_elastic_net(stats: Moments, pen: PenaltySpec, tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER,
                     warm_start: np.ndarray | None = None) -> ElasticNetFit:
-    """Minimize F by feature-sign search on the scaled problem.
+    """Minimize F by feature-sign search on the problem `stats` describes.
 
-    A nonzero warm start seeds the active set with its nonzero coordinates and
-    their signs. Each iteration checks the KKT conditions; when they hold to
-    `tol`, the quantity `kkt_violation` measures, the fit is converged.
+    Coefficients and warm start are in the units the statistics were formed
+    in. A nonzero warm start seeds the active set with its nonzero coordinates
+    and their signs. Each iteration checks the KKT conditions; when they hold
+    to `tol`, the quantity `kkt_violation` measures, the fit is converged.
     Otherwise, if the active set is already stationary, the zero coordinate
     with the largest violation joins it, and the iteration ends with one
     feature-sign step. `n_sweeps` counts iterations: the active-set solves plus
     the check that certifies the result. Hitting max_iter is a soft failure: a
     DidNotConvergeWarning is issued and the last iterate is returned with
-    converged=False. With standardize=False, X is fitted as given, without a
-    copy, and coefficients and warm start are in X's units; callers that fit
-    one design many times scale it once and pass it this way.
-
-    X may instead be the `Moments` of a design, with y None: the problem is
-    fitted in the units the statistics were formed in, and `standardize` does
-    not apply. A design and its `Moments.of` give bit-identical coefficients
-    and sweep counts. The objective then comes from the statistics, by
-    expanding the square (y'y - 2 g'X'y + g'X'X g), which cancels badly when
-    the fit is close to exact: its relative error is of order eps * y'y / RSS.
+    converged=False.
     """
-    from_moments = isinstance(X, Moments)
-    if from_moments:
-        if y is not None:
-            raise ValueError("a Moments problem takes no target")
-        stats = X
-        if not (np.all(np.isfinite(stats.xtx)) and np.all(np.isfinite(stats.xty))
-                and np.isfinite(stats.yty)):
-            raise NonFiniteInput("sufficient statistics contain non-finite values")
-        scale = np.ones(len(stats.xty))
-    else:
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise NonFiniteInput("design or target contains non-finite values")
-        if len(y) != X.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)}")
-        scale = _column_scales(X) if standardize else np.ones(X.shape[1])
-        Xs = X / scale if standardize else X
-        stats = Moments.of(Xs, y)
+    if not (np.all(np.isfinite(stats.xtx)) and np.all(np.isfinite(stats.xty))):
+        raise NonFiniteInput("sufficient statistics contain non-finite values")
     M, P = stats.n, len(stats.xty)
     if P == 0:
-        return ElasticNetFit(np.empty(0), 0, True, stats.yty / M)
+        return ElasticNetFit(np.empty(0), 0, True)
 
     q = (2.0 / M) * stats.xty
     H = (2.0 / M) * stats.xtx + pen.lam * (1.0 - pen.alpha) * np.eye(P)  # G + ridge
     thr = pen.lam * pen.alpha
 
-    gamma = np.zeros(P) if warm_start is None else np.asarray(warm_start, dtype=float) * scale
+    gamma = np.zeros(P) if warm_start is None else np.array(warm_start, dtype=float)
     if not np.all(np.isfinite(gamma)):
         raise NonFiniteInput("warm start contains non-finite values")
     sign = np.sign(gamma)      # s_A on the active set, 0 elsewhere
@@ -188,15 +158,7 @@ def fit_elastic_net(X: np.ndarray | Moments, y: np.ndarray | None, pen: PenaltyS
     if not converged:
         warnings.warn(f"feature-sign search did not converge in {max_iter} iterations",
                       DidNotConvergeWarning, stacklevel=2)
-    if from_moments:
-        rss = stats.yty - 2.0 * float(gamma @ stats.xty) + float(gamma @ stats.xtx @ gamma)
-    else:
-        # from the residual: expanding the square cancels badly when the fit is close
-        resid = y - Xs @ gamma
-        rss = float(resid @ resid)
-    obj = (rss / M + 0.5 * pen.lam * (1.0 - pen.alpha) * float(gamma @ gamma)
-           + thr * float(np.abs(gamma).sum()))
-    return ElasticNetFit(gamma / scale, it, converged, obj)
+    return ElasticNetFit(gamma, it, converged)
 
 
 def _feature_sign_step(gamma: np.ndarray, sign: np.ndarray, active: np.ndarray,
@@ -266,23 +228,16 @@ def kkt_violation(X: np.ndarray, y: np.ndarray, coef: np.ndarray, pen: PenaltySp
     return max(worst, 0.0)
 
 
-def lambda_max(X: np.ndarray | Moments, y: np.ndarray | None, alpha: float = 0.5,
-               standardize: bool = True) -> float:
-    """Smallest lam for which the all-zero solution is optimal; X may be the
-    `Moments` of a design (y unused), as in `fit_elastic_net`."""
-    if not isinstance(X, Moments):
-        X = np.asarray(X, dtype=float)
-        scale = _column_scales(X) if standardize else np.ones(X.shape[1])
-        X = Moments.of(X / scale, np.asarray(y, dtype=float))
-    q = (2.0 / X.n) * X.xty
+def lambda_max(stats: Moments, alpha: float = 0.5) -> float:
+    """Smallest lam for which the all-zero solution is optimal."""
+    q = (2.0 / stats.n) * stats.xty
     return float(np.max(np.abs(q))) / max(alpha, _MIN_ALPHA_FOR_GRID) if q.size else 0.0
 
 
-def default_lambda_grid(X: np.ndarray | Moments, y: np.ndarray | None, alpha: float = 0.5,
-                        size: int = 60, ratio: float = 1e-4,
-                        standardize: bool = True) -> np.ndarray:
+def default_lambda_grid(stats: Moments, alpha: float = 0.5, size: int = 60,
+                        ratio: float = 1e-4) -> np.ndarray:
     """Log-spaced grid from lambda_max down to lambda_max * ratio, descending."""
-    top = lambda_max(X, y, alpha, standardize)
+    top = lambda_max(stats, alpha)
     if top <= 0.0:
         return np.array([0.0])
     return np.geomspace(top, top * ratio, size)
@@ -327,7 +282,7 @@ def cross_validate_lambda(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
         X_val = X[val] / scale
         warm = None  # coefficients in scaled units
         for gi in order:
-            fit = fit_elastic_net(train, None, PenaltySpec(grid[gi], alpha),
+            fit = fit_elastic_net(train, PenaltySpec(grid[gi], alpha),
                                   tol=tol, max_iter=max_iter, warm_start=warm)
             warm = fit.coef
             err = y[val] - X_val @ fit.coef

@@ -1,14 +1,18 @@
-"""HAR feature construction and univariate OLS fitting.
+"""HAR lag features and OLS fitting, and the one-step HAR-X arithmetic.
 
 The model regresses RV_t on three trailing averages of its own history:
 daily (lag 1), weekly (mean of lags 1..5), and monthly (mean of lags 1..22).
 The sum of the three slopes is the persistence phi, typically just below 1
 on volatility data.
+
+Fits run on a panel: `lag_means` builds every asset's features in one pass,
+`panel_moments` forms one centred cross-product of features and targets, and
+`own_ols` solves every asset's OLS from it. A single series is fitted as the
+one-asset panel (`fit_har_ols`).
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,24 +22,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HistoryTooShort, NonFiniteInput, RankDeficientDesign, SeriesTooShort
-from .rv import RvPanel, RvSeries
+from .rv import RvPanel
 
 DEFAULT_LAGS = (1, 5, 22)
-
-
-@dataclass(frozen=True)
-class HarFeatures:
-    target: np.ndarray
-    daily: np.ndarray
-    weekly: np.ndarray
-    monthly: np.ndarray
-    dates: tuple[dt.date, ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.target)
-
-    def design(self) -> np.ndarray:
-        return np.column_stack([np.ones(len(self)), self.daily, self.weekly, self.monthly])
 
 
 @dataclass(frozen=True)
@@ -79,44 +68,16 @@ def lag_means(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS) -> np.ndar
     return out
 
 
-def build_har_features(rv: RvSeries | np.ndarray,
-                       lags: Sequence[int] = DEFAULT_LAGS) -> HarFeatures:
-    if isinstance(rv, RvSeries):
-        values, dates = rv.values, rv.dates
-    else:
-        values, dates = np.asarray(rv, dtype=float), None
-    m = max(lags)
-    if len(values) <= m:
-        raise SeriesTooShort(f"need > {m} observations, got {len(values)}")
-    feats = lag_means(values, lags)
-    return HarFeatures(
-        target=values[m:],
-        daily=feats[:, 0],
-        weekly=feats[:, 1],
-        monthly=feats[:, 2],
-        dates=dates[m:] if dates is not None else None,
-    )
-
-
-def fit_har_ols(features: HarFeatures) -> tuple[HarCoefficients, np.ndarray]:
-    """Least-squares fit of [1, daily, weekly, monthly]; returns residuals too.
+def fit_har_ols(values: np.ndarray,
+                lags: Sequence[int] = DEFAULT_LAGS) -> tuple[HarCoefficients, np.ndarray]:
+    """Least-squares HAR fit of one series: coefficients and residuals.
 
     The one-asset case of `own_ols`, so a series fitted alone gets the same
     bits as its column of a panel fit (`fit_har_panel`, `fit_hybrid`). A
     rank-deficient design is an error, never a silent pseudo-inverse.
     """
-    rows = np.array([features.daily, features.weekly, features.monthly, features.target],
-                    dtype=float)
-    coef, resid = own_ols(PanelMoments.of(rows), (None,))
+    coef, resid = own_ols(panel_moments(np.asarray(values, dtype=float)[:, None], lags), (None,))
     return HarCoefficients(*map(float, coef[0])), resid[0]
-
-
-def _warn_if_persistent(coef: HarCoefficients, stacklevel: int, asset: str | None = None) -> None:
-    if coef.persistence >= 1.0:
-        where = f" for {asset}" if asset else ""
-        warnings.warn(f"HAR persistence {coef.persistence:.4f} >= 1{where}; "
-                      "one-step forecasts remain valid but impulse simulation will refuse",
-                      UserWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -209,8 +170,11 @@ def own_ols(pm: PanelMoments, assets: Sequence[str | None]) -> tuple[np.ndarray,
     resid = y - (beta[:, None, :] @ F)[:, 0]
     intercept = pm.mean[3 * K:] - (pm.mean[:3 * K].reshape(K, 3) * beta).sum(axis=1)
     coef = np.column_stack([intercept, beta])
-    for a, row in zip(assets, coef):
-        _warn_if_persistent(HarCoefficients(*row), stacklevel=4, asset=a)
+    for a, phi in zip(assets, beta.sum(axis=1)):
+        if phi >= 1.0:
+            where = f" for {a}" if a else ""
+            warnings.warn(f"HAR persistence {phi:.4f} >= 1{where}; one-step forecasts remain "
+                          "valid but impulse simulation will refuse", UserWarning, stacklevel=3)
     return coef, resid
 
 

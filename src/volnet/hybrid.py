@@ -33,7 +33,7 @@ from .elastic_net import (
 )
 from .errors import InvalidConfig
 from .har import DEFAULT_LAGS, HarCoefficients, HarStep, own_ols, panel_moments, residual_map
-from .rv import RvPanel
+from .rv import RvPanel, is_csv_name
 
 MODEL_SCHEMA = "volnet-model-v1"
 FEATURE_ORDER_TAG = "source-major-dwm-v1"
@@ -129,18 +129,17 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     for i in range(K):
         kc = kc_all[i]
         r = resid[i]
-        stats = Moments(G_blocks[i], Xr_blocks[i], float(r @ r), M)
+        stats = Moments(G_blocks[i], Xr_blocks[i], M)
         if fixed_lambdas is not None:
             lam = float(fixed_lambdas[i])
         else:
             grid = (np.asarray(cfg.lambda_grid, dtype=float) if cfg.lambda_grid is not None
-                    else default_lambda_grid(stats, None, cfg.alpha, cfg.grid_size,
-                                             cfg.grid_ratio))
+                    else default_lambda_grid(stats, cfg.alpha, cfg.grid_size, cfg.grid_ratio))
             X = np.ascontiguousarray(pm.Zt[kc].T)
             cv = cross_validate_lambda(X, r, grid, cfg.alpha, cfg.cv_folds, cfg.tol, cfg.max_iter)
             lam = cv.selected_lambda
         lambdas[i] = lam
-        fit = fit_elastic_net(stats, None, PenaltySpec(lam, cfg.alpha),
+        fit = fit_elastic_net(stats, PenaltySpec(lam, cfg.alpha),
                               tol=cfg.tol, max_iter=cfg.max_iter)
         c = fit.coef / scale[kc]
         cross[i, k != i] = c.reshape(K - 1, 3)
@@ -218,6 +217,11 @@ def model_to_dict(model: HybridModel) -> dict:
     }
 
 
+def _check(ok: bool, name: str, want: str, value) -> None:
+    if not ok:
+        raise InvalidConfig(f"model {name} must be {want}, got {value!r}")
+
+
 def _finite_array(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
         a = np.asarray(value, dtype=float)
@@ -231,38 +235,46 @@ def _finite_array(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def model_from_dict(d: dict) -> HybridModel:
-    """Rebuild a model from model_to_dict output, checking every shape it relies on."""
+    """Rebuild a model from model_to_dict output, checking every field it relies
+    on; a missing or malformed field raises InvalidConfig naming it."""
+    if not isinstance(d, dict):
+        raise InvalidConfig("model must be a JSON object")
     if d.get("schema") != MODEL_SCHEMA:
         raise InvalidConfig(f"unsupported model schema {d.get('schema')!r}")
     if d.get("feature_order") != FEATURE_ORDER_TAG:
         raise InvalidConfig(f"unsupported feature ordering {d.get('feature_order')!r}")
-    assets = tuple(d["assets"])
+    missing = [k for k in ("assets", "lags", "alpha", "own", "cross", "selected_lambda",
+                           "residual_cov", "sample_start", "sample_end", "n_obs") if k not in d]
+    if missing:
+        raise InvalidConfig(f"model has no {', '.join(missing)}")
+    assets, lags, alpha, own, n_obs = (d[k] for k in ("assets", "lags", "alpha", "own", "n_obs"))
+    _check(isinstance(assets, list) and len(assets) > 0 and all(map(is_csv_name, assets))
+           and len(set(assets)) == len(assets), "assets",
+           'a non-empty list of distinct non-blank names without , " or line breaks', assets)
     K = len(assets)
-    lags = d["lags"]
-    if (not isinstance(lags, (list, tuple)) or len(lags) != 3
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in lags)
-            or not 0 < lags[0] < lags[1] < lags[2]):
-        raise InvalidConfig(f"model lags must be three positive ascending integers, got {lags}")
-    if len(d["own"]) != K or not all(isinstance(o, dict) for o in d["own"]):
-        raise InvalidConfig(f"model own must hold one coefficient object per asset ({K})")
-    own = _finite_array([[o["intercept"], o["beta_d"], o["beta_w"], o["beta_m"]]
-                         for o in d["own"]], "own", (K, 4))
+    _check(isinstance(lags, list) and len(lags) == 3 and all(type(v) is int for v in lags)
+           and 0 < lags[0] < lags[1] < lags[2], "lags", "three positive ascending integers", lags)
+    _check(type(alpha) in (int, float) and 0.0 <= alpha <= 1.0, "alpha", "a number in [0, 1]",
+           alpha)
+    _check(type(n_obs) is int and n_obs >= 0, "n_obs", "an integer >= 0", n_obs)
+    _check(isinstance(own, list) and len(own) == K and all(isinstance(o, dict) for o in own),
+           "own", f"one coefficient object per asset ({K})", own)
+    own = _finite_array([[o.get(k) for k in ("intercept", "beta_d", "beta_w", "beta_m")]
+                         for o in own], "own", (K, 4))
     cross = _finite_array(d["cross"], "cross", (K, K, 3))
+    lambdas = _finite_array(d["selected_lambda"], "selected_lambda", (K,))
+    _check(np.all(lambdas >= 0.0), "selected_lambda", "penalties >= 0", d["selected_lambda"])
     cov = _finite_array(d["residual_cov"], "residual_cov", (K, K))
     if not np.array_equal(cov, cov.T) or np.any(np.diag(cov) < 0.0):
         raise InvalidConfig("model residual_cov must be symmetric with a nonnegative diagonal")
     try:
+        start, end = (dt.date.fromisoformat(d[k]) if d[k] else None
+                      for k in ("sample_start", "sample_end"))
         return HybridModel(
-            assets=assets,
+            assets=tuple(assets),
             own=tuple(HarCoefficients(*map(float, row)) for row in own),
-            cross=cross,
-            selected_lambda=_finite_array(d["selected_lambda"], "selected_lambda", (K,)),
-            residual_cov=cov,
-            lags=tuple(lags),
-            alpha=float(d["alpha"]),
-            sample_start=dt.date.fromisoformat(d["sample_start"]) if d["sample_start"] else None,
-            sample_end=dt.date.fromisoformat(d["sample_end"]) if d["sample_end"] else None,
-            n_obs=int(d["n_obs"]),
+            cross=cross, selected_lambda=lambdas, residual_cov=cov, lags=tuple(lags),
+            alpha=float(alpha), sample_start=start, sample_end=end, n_obs=n_obs,
         )
-    except ValueError as exc:  # a nonzero self entry in cross, a bad date or count
+    except (TypeError, ValueError) as exc:  # a nonzero self entry in cross, a bad date
         raise InvalidConfig(f"model {exc}") from None

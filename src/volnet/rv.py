@@ -112,6 +112,11 @@ def yang_zhang_panel(panel: OhlcPanel, cfg: YzConfig = YzConfig()) -> RvPanel:
     return RvPanel(dates, panel.assets, np.column_stack([r.values for r in out]))
 
 
+def is_csv_name(name) -> bool:
+    """True for a non-blank string that can stand unquoted as one CSV cell."""
+    return isinstance(name, str) and name.strip() != "" and not any(c in name for c in ',"\r\n')
+
+
 def rv_csv_text(panel: RvPanel, comments: Sequence[str] = ()) -> str:
     """The panel as the CSV read_rv_csv reads: each comment as a `# ` line,
     the header, then one row per date with values in round-trip repr."""
@@ -130,8 +135,8 @@ def read_rv_csv(path: str | Path) -> RvPanel:
     ISO date and one finite number per asset, and the dates strictly
     increase. The numbers are parsed as one block by np.loadtxt. A defect
     raises MissingColumn (no header, no asset column), SeriesTooShort (no
-    data row), UnparseableRow (an asset column named twice in the header, a
-    ragged row, a bad date, a non-numeric or non-finite value) or
+    data row), UnparseableRow (a blank or quoted asset column or one named
+    twice in the header, a ragged row, a bad date, a non-numeric or non-finite value) or
     DatesNotIncreasing, naming the line of the file.
     """
     with open(path) as fh:
@@ -146,6 +151,8 @@ def read_rv_csv(path: str | Path) -> RvPanel:
     assets = tuple(header[1:])
     if not assets:
         raise MissingColumn(f"line {kept[0] + 1}: RV header names no asset column")
+    if not all(map(is_csv_name, assets)):
+        raise UnparseableRow(kept[0] + 1, f"RV header names a blank or quoted asset: {assets!r}")
     repeat = next((a for i, a in enumerate(assets) if a in assets[:i]), None)
     if repeat is not None:
         raise UnparseableRow(kept[0] + 1, f"RV header repeats asset column {repeat!r}")

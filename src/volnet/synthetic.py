@@ -19,7 +19,7 @@ from .config import _check_keys, _int, _list, _number
 from .errors import ExplosiveSpec, InvalidConfig
 from .har import DEFAULT_LAGS, HarCoefficients
 from .hybrid import HORIZON_LABELS, HybridModel
-from .rv import RvPanel
+from .rv import RvPanel, is_csv_name
 
 DEFAULT_BURN_IN = 500
 DEFAULT_FLOOR = 1e-6
@@ -174,8 +174,9 @@ def spec_from_dict(d: dict) -> SyntheticSpec:
     if missing:
         raise InvalidConfig(f"spec is missing keys: {missing}")
     assets = _list(d["assets"], "assets")
-    if not all(isinstance(a, str) for a in assets):
-        raise InvalidConfig(f"assets must be a list of strings, got {assets!r}")
+    if not all(map(is_csv_name, assets)):
+        raise InvalidConfig(f'assets must be non-blank names without , " or line breaks, '
+                            f"got {assets!r}")
     own = [_record(o, _OWN_KEYS, "own") for o in _list(d["own"], "own")]
     edges = [_record(e, _EDGE_KEYS, "cross") for e in _list(d.get("cross", []), "cross")]
     cov = [[_number(v, "innovation_cov") for v in _list(row, "innovation_cov")]

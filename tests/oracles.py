@@ -81,12 +81,13 @@ def ols_normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(X.T @ X, X.T @ y)
 
 
-def ols_lstsq(features) -> tuple[np.ndarray, np.ndarray]:
-    """HAR OLS of HarFeatures by an orthogonal decomposition of the design:
-    coefficients (intercept, daily, weekly, monthly) and residuals."""
-    X = features.design()
-    beta = np.linalg.lstsq(X, features.target, rcond=None)[0]
-    return beta, features.target - X @ beta
+def ols_lstsq(features: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HAR OLS of `target` on rows x 3 lag features by an orthogonal
+    decomposition of the design [1, daily, weekly, monthly]: coefficients
+    (intercept, daily, weekly, monthly) and residuals."""
+    X = np.column_stack([np.ones(len(target)), features])
+    beta = np.linalg.lstsq(X, target, rcond=None)[0]
+    return beta, target - X @ beta
 
 
 def residual_covariance(model, rv) -> np.ndarray:

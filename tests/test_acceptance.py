@@ -18,15 +18,9 @@ import pytest
 
 from volnet.bootstrap import BootstrapConfig, block_resample, bootstrap_jirf
 from volnet.cli import main as cli_main
-from volnet.elastic_net import PenaltySpec, fit_elastic_net, kkt_violation
+from volnet.elastic_net import Moments, PenaltySpec, fit_elastic_net, kkt_violation
 from volnet.evaluate import forecast_metrics, rolling_forecast, split_train_test
-from volnet.har import (
-    HarCoefficients,
-    HarFeatures,
-    build_har_features,
-    fit_har_ols,
-    fit_har_panel,
-)
+from volnet.har import HarCoefficients, PanelMoments, fit_har_panel, lag_means, own_ols
 from volnet.hybrid import FitConfig, fit_hybrid, spillover_network
 from volnet.ingest import OhlcSeries
 from volnet.jirf import ShockGroup, jirf_for_group, joint_shock, simulate_jirf
@@ -70,7 +64,7 @@ def test_elastic_net_matches_projected_gradient_oracle():
         lam = float(10.0 ** rng.uniform(-3.0, 0.3))
         alpha = float(rng.uniform(0.1, 1.0))
         pen = PenaltySpec(lam, alpha)
-        fit = fit_elastic_net(X, y, pen, tol=TOL, standardize=False)
+        fit = fit_elastic_net(Moments.of(X, y), pen, tol=TOL)
         ref = enet_projected_gradient(X, y, lam, alpha)
         f_cd = enet_objective(X, y, fit.coef, lam, alpha)
         f_pg = enet_objective(X, y, ref, lam, alpha)
@@ -86,25 +80,24 @@ def test_elastic_net_matches_projected_gradient_oracle():
 
 def test_har_noiseless_recovery_and_ols_oracle():
     rng = np.random.default_rng(163)
-    driver = rng.uniform(0.1, 0.5, 2000)
-    feats = build_har_features(driver)
+    series = rng.uniform(0.1, 0.5, 2000)
+    d, w, m = lag_means(series).T
     truth = np.array([0.02, 0.5, 0.3, 0.15])
-    y = truth[0] + truth[1] * feats.daily + truth[2] * feats.weekly + truth[3] * feats.monthly
-    coef, _ = fit_har_ols(HarFeatures(y, feats.daily, feats.weekly, feats.monthly))
-    recovery_err = float(np.max(np.abs(coef.as_array() - truth)))
+    y = truth[0] + truth[1] * d + truth[2] * w + truth[3] * m
+    coef, _ = own_ols(PanelMoments.of(np.array([d, w, m, y])), (None,))
+    recovery_err = float(np.max(np.abs(coef[0] - truth)))
 
     oracle_err = 0.0
     for _ in range(100):
         series = rng.uniform(0.05, 0.6, 150)
-        f = build_har_features(series)
-        target = rng.standard_normal(len(f.target))
+        d, w, m = lag_means(series).T
+        target = rng.standard_normal(len(d))
         with warnings.catch_warnings():
             # noise targets routinely fit explosive persistence; irrelevant here
             warnings.filterwarnings("ignore", message="HAR persistence")
-            ours, _ = fit_har_ols(HarFeatures(target, f.daily, f.weekly, f.monthly))
-        ref = ols_normal_equations(
-            np.column_stack([np.ones(len(target)), f.daily, f.weekly, f.monthly]), target)
-        oracle_err = max(oracle_err, float(np.max(np.abs(ours.as_array() - ref))))
+            ours, _ = own_ols(PanelMoments.of(np.array([d, w, m, target])), (None,))
+        ref = ols_normal_equations(np.column_stack([np.ones(len(target)), d, w, m]), target)
+        oracle_err = max(oracle_err, float(np.max(np.abs(ours[0] - ref))))
 
     ok = recovery_err <= 1e-8 and oracle_err <= 1e-10
     assert record(

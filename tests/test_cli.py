@@ -443,6 +443,10 @@ def test_malformed_model_json(workdir, tmp_path, capsys):
     assert main(["network", "--model", str(broken),
                  "--out", str(tmp_path / "n.csv")]) == 1
     assert "volnet: code=JSONDecodeError" in capsys.readouterr().err
+    broken.write_text("[]")
+    assert main(["network", "--model", str(broken),
+                 "--out", str(tmp_path / "n.csv")]) == 1
+    assert "volnet: code=InvalidConfig model must be a JSON object" in capsys.readouterr().err
 
 
 def _set(key, index, value):
@@ -472,6 +476,23 @@ MODEL_DEFECTS = {
     "cov_asymmetric": _set("residual_cov", (0, 1), 1.0),
     "cov_negative_variance": _set("residual_cov", (1, 1), -1e-4),
     "feature_order_unknown": lambda d: d.update(feature_order="x"),
+    "assets_a_string": lambda d: d.update(assets="AB"),
+    "assets_repeated": lambda d: d.update(assets=["A", "A"]),
+    "assets_not_strings": lambda d: d.update(assets=[1, 2]),
+    "asset_empty": _set("assets", (1,), ""),
+    "asset_blank": _set("assets", (1,), " "),
+    "asset_with_comma": _set("assets", (1,), "B,C"),
+    "alpha_above_one": lambda d: d.update(alpha=2.0),
+    "alpha_not_a_number": lambda d: d.update(alpha="0.5"),
+    "lambda_negative": _set("selected_lambda", (0,), -0.1),
+    "cross_ragged": lambda d: d["cross"][0][1].pop(),
+    "n_obs_fraction": lambda d: d.update(n_obs=3.7),
+    "n_obs_negative": lambda d: d.update(n_obs=-1),
+    "own_entry_missing_key": lambda d: d["own"][0].pop("beta_m"),
+    "sample_start_not_a_string": lambda d: d.update(sample_start=20180101),
+    **{f"no_{key}": (lambda d, key=key: d.pop(key))
+       for key in ("assets", "lags", "alpha", "own", "cross", "selected_lambda", "residual_cov",
+                   "sample_start", "sample_end", "n_obs")},
 }
 
 
@@ -485,6 +506,10 @@ def test_invalid_model_json_rejected(workdir, tmp_path, capsys, defect):
                  "--out", str(tmp_path / "j.csv")]) == 1
     assert "volnet: code=InvalidConfig" in capsys.readouterr().err
     assert not (tmp_path / "j.csv").exists()
+    # refused where it enters, whichever command reads it
+    assert main(["network", "--model", str(bad), "--out", str(tmp_path / "n.csv")]) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not (tmp_path / "n.csv").exists()
 
 
 def test_model_json_with_seed_tail_still_loads(workdir, tmp_path):
@@ -621,6 +646,10 @@ SPEC_DEFECTS = {
     "assets_string": _spec_with(assets="AB"),
     "assets_duplicate": _spec_with(assets=["A", "A"]),
     "assets_not_strings": _spec_with(assets=[1, 2]),
+    "asset_with_comma": lambda d: {**d, "assets": ["A", "B,C"],
+                                   "cross": [{**d["cross"][0], "source": "B,C"}]},
+    "asset_blank": lambda d: {**d, "assets": ["A", " "],
+                              "cross": [{**d["cross"][0], "source": " "}]},
     "length_fraction": _spec_with(length=2.7),
     "length_negative": _spec_with(length=-5),
     "length_bool": _spec_with(length=True),
@@ -695,6 +724,8 @@ def test_groups_must_be_a_mapping(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("groups", [
     {"e": "AB"}, {"e": []}, {"e": [1]}, {"e": ["A", "A"]}, {"e": ["Z"]}, {"e": None},
     {"ok": ["A"], "e": {"A": 1}},
+    # a name that cannot stand as one cell of the CSVs it labels
+    {"": ["A"]}, {" ": ["A"]}, {"a,b": ["A"]}, {'a"b': ["A"]}, {"a\rb": ["A"]}, {"a\nb": ["A"]},
 ])
 def test_group_members_must_be_distinct_model_assets(workdir, tmp_path, capsys, groups):
     bad = tmp_path / "groups.json"
@@ -703,6 +734,37 @@ def test_group_members_must_be_distinct_model_assets(workdir, tmp_path, capsys, 
                  "--out", str(tmp_path / "j.csv")]) == 1
     assert "volnet: code=InvalidConfig" in capsys.readouterr().err
     assert not (tmp_path / "j.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("bootstrap", "--reps", "0"), ("bootstrap", "--block", "0"), ("bootstrap", "--ci", "1.5"),
+    ("bootstrap", "--ci", "0"), ("bootstrap", "--seed", "-1"), ("bootstrap", "--horizon", "-1"),
+    ("jirf", "--horizon", "-1"), ("report", "--horizon", "-1"),
+])
+def test_a_bad_flag_is_invalid_config_before_any_file_is_touched(tmp_path, capsys, command,
+                                                                 flag, value):
+    # every input named here is missing: reading one would fail as FileNotFound
+    missing = tmp_path / "missing"
+    inputs = {"bootstrap": ["--rv", "--model", "--groups"], "jirf": ["--model", "--groups"],
+              "report": ["--rv", "--model", "--groups"]}[command]
+    args = [command, flag, value, *(a for f in inputs for a in (f, str(missing / f[2:])))]
+    out = tmp_path / "out"
+    args += ["--out-dir" if command == "report" else "--out", str(out)]
+    assert main(args) == 1
+    assert "volnet: code=InvalidConfig" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_bad_bootstrap_flag_fails_as_the_same_config_value_does(workdir, tmp_path, capsys):
+    base = ["bootstrap", "--rv", str(workdir["rv"]), "--model", str(workdir["model"]),
+            "--groups", str(workdir["groups"]), "--out", str(tmp_path / "b.csv")]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bootstrap": {"replications": 0}}))
+    assert main([*base, "--config", str(cfg)]) == 1
+    from_config = capsys.readouterr().err
+    assert main([*base, "--reps", "0"]) == 1
+    assert capsys.readouterr().err == from_config == (
+        "volnet: code=InvalidConfig replications must be >= 1\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " ", "٣"])

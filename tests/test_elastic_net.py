@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from volnet.errors import (
     NonFiniteInput,
     TooFewObservations,
 )
-from volnet.har import HarCoefficients, build_har_features, fit_har_ols
+from volnet.har import HarCoefficients, fit_har_ols, lag_means
 from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
 
 from oracles import enet_objective, enet_projected_gradient, soft_threshold
@@ -38,6 +39,22 @@ def random_problem(seed, M=40, P=4, unit_columns=False):
     beta = rng.standard_normal(P) * (rng.random(P) < 0.7)
     y = X @ beta + 0.3 * rng.standard_normal(M)
     return X, y
+
+
+def scaled_moments(X, y):
+    """The Moments of X with its columns scaled to unit sample standard
+    deviation, as the package's callers fit, and the column scales."""
+    s = _column_scales(X)
+    return Moments.of(X / s, y), s
+
+
+def scaled_fit(X, y, pen, warm_start=None, **kw):
+    """A fit of X's scaled columns, with the warm start and the coefficients
+    in X's units."""
+    stats, s = scaled_moments(X, y)
+    warm = None if warm_start is None else np.asarray(warm_start, dtype=float) * s
+    fit = fit_elastic_net(stats, pen, warm_start=warm, **kw)
+    return dataclasses.replace(fit, coef=fit.coef / s)
 
 
 def test_soft_threshold_examples():
@@ -56,7 +73,7 @@ def test_penalty_spec_validation():
 
 def test_lambda_zero_matches_ols():
     X, y = random_problem(1)
-    fit = fit_elastic_net(X, y, PenaltySpec(0.0, 0.5), tol=1e-10)
+    fit = scaled_fit(X, y, PenaltySpec(0.0, 0.5), tol=1e-10)
     ols, *_ = np.linalg.lstsq(X, y, rcond=None)
     np.testing.assert_allclose(fit.coef, ols, atol=1e-6)
 
@@ -64,7 +81,7 @@ def test_lambda_zero_matches_ols():
 def test_huge_lambda_all_zero():
     X, y = random_problem(2, unit_columns=True)
     lam = 10.0 * float(np.max(np.abs(X.T @ y)))
-    fit = fit_elastic_net(X, y, PenaltySpec(lam, alpha=1.0))
+    fit = scaled_fit(X, y, PenaltySpec(lam, alpha=1.0))
     assert np.all(fit.coef == 0.0)
     assert fit.converged
 
@@ -75,7 +92,7 @@ def test_single_feature_closed_form():
     y = 0.8 * x + 0.2 * rng.standard_normal(50)
     M = 50
     lam, alpha = 0.3, 0.5
-    fit = fit_elastic_net(x[:, None], y, PenaltySpec(lam, alpha), tol=1e-12)
+    fit = scaled_fit(x[:, None], y, PenaltySpec(lam, alpha), tol=1e-12)
     s = np.std(x, ddof=1)
     xs = x / s
     gamma = (soft_threshold((2 / M) * float(xs @ y), lam * alpha)
@@ -91,8 +108,7 @@ def test_matches_projected_gradient_oracle_raw_scale():
         X, y = random_problem(seed + 100, M=M, P=P)
         alpha = alphas[seed % 4]
         lam = [1e-3, 0.05, 0.4, 2.0][seed % 4]
-        fit = fit_elastic_net(X, y, PenaltySpec(lam, alpha), tol=1e-10,
-                              standardize=False)
+        fit = fit_elastic_net(Moments.of(X, y), PenaltySpec(lam, alpha), tol=1e-10)
         ref = enet_projected_gradient(X, y, lam, alpha)
         f_cd = enet_objective(X, y, fit.coef, lam, alpha)
         f_pg = enet_objective(X, y, ref, lam, alpha)
@@ -104,7 +120,7 @@ def test_matches_oracle_through_standardization():
     for seed in range(4):
         X, y = random_problem(seed + 300, M=35, P=4)
         lam, alpha = 0.2, 0.5
-        fit = fit_elastic_net(X, y, PenaltySpec(lam, alpha), tol=1e-10)
+        fit = scaled_fit(X, y, PenaltySpec(lam, alpha), tol=1e-10)
         Xs = X / np.std(X, axis=0, ddof=1)
         ref_scaled = enet_projected_gradient(Xs, y, lam, alpha)
         f_cd = objective(X, y, fit.coef, PenaltySpec(lam, alpha))
@@ -116,30 +132,26 @@ def test_kkt_at_convergence():
     for seed in range(8):
         X, y = random_problem(seed + 50, M=45, P=5)
         pen = PenaltySpec(0.1, 0.5)
-        fit = fit_elastic_net(X, y, pen, tol=1e-7)
+        fit = scaled_fit(X, y, pen, tol=1e-7)
         assert kkt_violation(X, y, fit.coef, pen) <= 10 * 1e-7 * 10
         # tighter tol drives the violation down with it
-        fit2 = fit_elastic_net(X, y, pen, tol=1e-11)
+        fit2 = scaled_fit(X, y, pen, tol=1e-11)
         assert kkt_violation(X, y, fit2.coef, pen) < kkt_violation(X, y, fit.coef, pen) + 1e-9
-
-
-def test_objective_field_matches_helper():
-    X, y = random_problem(9)
-    pen = PenaltySpec(0.15, 0.6)
-    fit = fit_elastic_net(X, y, pen, tol=1e-10)
-    assert fit.objective == pytest.approx(objective(X, y, fit.coef, pen), rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_objective_field_is_accurate_for_a_near_exact_fit(seed):
-    # 8 rows, rank 7: the optimum leaves a residual far below y'y/M
+    # 8 rows, rank 7: the optimum leaves a residual far below y'y/M, and the
+    # fit from X'X, whose condition is the square of X's, still attains it
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((8, 8)) * rng.uniform(0.1, 10.0, 8)
     X[:, 1] = X[:, 0]
     y = X @ rng.standard_normal(8) + rng.standard_normal(8)
     pen = PenaltySpec(0.0, 0.0)
-    fit = fit_elastic_net(X, y, pen, tol=1e-9)
-    assert fit.objective == pytest.approx(objective(X, y, fit.coef, pen), rel=1e-12, abs=0.0)
+    fit = scaled_fit(X, y, pen, tol=1e-9)
+    least_squares = np.linalg.lstsq(X, y, rcond=None)[0]
+    assert objective(X, y, fit.coef, pen) == pytest.approx(
+        objective(X, y, least_squares, pen), rel=1e-12, abs=0.0)
 
 
 def test_zero_set_monotone_in_lambda_orthonormal_lasso():
@@ -148,8 +160,7 @@ def test_zero_set_monotone_in_lambda_orthonormal_lasso():
     y = Q @ np.array([2.0, -1.5, 0.8, 0.0, 0.3]) + 0.1 * rng.standard_normal(60)
     prev_zero: set = set()
     for lam in np.linspace(0.001, 0.2, 25):
-        fit = fit_elastic_net(Q, y, PenaltySpec(lam, alpha=1.0), standardize=False,
-                              tol=1e-10)
+        fit = fit_elastic_net(Moments.of(Q, y), PenaltySpec(lam, alpha=1.0), tol=1e-10)
         zero = {j for j in range(5) if fit.coef[j] == 0.0}
         assert prev_zero <= zero
         prev_zero = zero
@@ -159,7 +170,7 @@ def test_did_not_converge_soft_failure():
     X, y = random_problem(11, M=50, P=5)
     X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]  # near-duplicate columns converge slowly
     with pytest.warns(DidNotConvergeWarning):
-        fit = fit_elastic_net(X, y, PenaltySpec(1e-6, 0.5), max_iter=2)
+        fit = scaled_fit(X, y, PenaltySpec(1e-6, 0.5), max_iter=2)
     assert not fit.converged
     assert np.all(np.isfinite(fit.coef))
 
@@ -168,42 +179,44 @@ def test_non_finite_input_rejected():
     X, y = random_problem(13)
     X[0, 0] = np.nan
     with pytest.raises(NonFiniteInput):
-        fit_elastic_net(X, y, PenaltySpec(0.1))
+        fit_elastic_net(Moments.of(X, y), PenaltySpec(0.1))
     X[0, 0] = 0.0
     with pytest.raises(NonFiniteInput):
-        fit_elastic_net(X, y, PenaltySpec(0.1), warm_start=np.array([np.nan, 0.0, 0.0, 0.0]))
+        fit_elastic_net(Moments.of(X, y), PenaltySpec(0.1),
+                        warm_start=np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_warm_start_reaches_same_solution():
     X, y = random_problem(17)
     pen = PenaltySpec(0.05, 0.5)
-    cold = fit_elastic_net(X, y, pen, tol=1e-10)
-    warm = fit_elastic_net(X, y, pen, tol=1e-10, warm_start=cold.coef)
+    cold = scaled_fit(X, y, pen, tol=1e-10)
+    warm = scaled_fit(X, y, pen, tol=1e-10, warm_start=cold.coef)
     np.testing.assert_allclose(warm.coef, cold.coef, atol=1e-8)
     assert warm.n_sweeps <= 3
 
 
 def test_empty_design_returns_empty_fit():
-    fit = fit_elastic_net(np.empty((30, 0)), np.ones(30), PenaltySpec(0.1))
+    fit = fit_elastic_net(Moments.of(np.empty((30, 0)), np.ones(30)), PenaltySpec(0.1))
     assert fit.coef.shape == (0,)
     assert fit.converged
 
 
 def test_lambda_max_boundary():
     X, y = random_problem(19, unit_columns=True)
-    top = lambda_max(X, y, alpha=0.5)
-    at = fit_elastic_net(X, y, PenaltySpec(top * 1.0001, 0.5))
-    below = fit_elastic_net(X, y, PenaltySpec(top * 0.99, 0.5))
+    top = lambda_max(scaled_moments(X, y)[0], alpha=0.5)
+    at = scaled_fit(X, y, PenaltySpec(top * 1.0001, 0.5))
+    below = scaled_fit(X, y, PenaltySpec(top * 0.99, 0.5))
     assert np.all(at.coef == 0.0)
     assert np.any(below.coef != 0.0)
 
 
 def test_default_grid_shape():
     X, y = random_problem(23)
-    grid = default_lambda_grid(X, y, alpha=0.5, size=60, ratio=1e-4)
+    stats, _ = scaled_moments(X, y)
+    grid = default_lambda_grid(stats, alpha=0.5, size=60, ratio=1e-4)
     assert len(grid) == 60
     assert np.all(np.diff(grid) < 0)
-    assert grid[0] == pytest.approx(lambda_max(X, y, 0.5))
+    assert grid[0] == pytest.approx(lambda_max(stats, 0.5))
     assert grid[-1] == pytest.approx(grid[0] * 1e-4)
 
 
@@ -219,9 +232,9 @@ def test_cv_pure_noise_selects_null_model():
     rng = np.random.default_rng(31)
     X = rng.standard_normal((400, 40))
     y = rng.standard_normal(400)
-    grid = default_lambda_grid(X, y, alpha=0.5)
+    grid = default_lambda_grid(scaled_moments(X, y)[0], alpha=0.5)
     res = cross_validate_lambda(X, y, grid, alpha=0.5, n_folds=5)
-    full = fit_elastic_net(X, y, PenaltySpec(res.selected_lambda, 0.5))
+    full = scaled_fit(X, y, PenaltySpec(res.selected_lambda, 0.5))
     assert np.mean(full.coef == 0.0) >= 0.95
 
 
@@ -250,16 +263,16 @@ def test_cv_keeps_signal_feature():
     rng = np.random.default_rng(43)
     X = rng.standard_normal((400, 6))
     y = 1.5 * X[:, 2] + 0.2 * rng.standard_normal(400)
-    grid = default_lambda_grid(X, y, alpha=0.5)
+    grid = default_lambda_grid(scaled_moments(X, y)[0], alpha=0.5)
     res = cross_validate_lambda(X, y, grid, alpha=0.5, n_folds=5)
-    full = fit_elastic_net(X, y, PenaltySpec(res.selected_lambda, 0.5))
+    full = scaled_fit(X, y, PenaltySpec(res.selected_lambda, 0.5))
     assert full.coef[2] > 0.5
     assert res.selected_lambda in set(grid)
 
 
 def test_cv_deterministic():
     X, y = random_problem(47, M=120, P=4)
-    grid = default_lambda_grid(X, y)
+    grid = default_lambda_grid(scaled_moments(X, y)[0])
     a = cross_validate_lambda(X, y, grid)
     b = cross_validate_lambda(X, y, grid)
     assert a.selected_lambda == b.selected_lambda
@@ -283,12 +296,11 @@ def _har_cross_blocks(n_days=2500, seed=5):
     panel = generate_synthetic_panel(SyntheticSpec(
         assets=assets, length=n_days, own=own, cross=edges,
         innovation_cov=corr * np.outer(sd, sd), seed=seed, floor=1e-3))
-    feats = [build_har_features(panel.values[:, i]) for i in range(len(assets))]
+    feats = lag_means(panel.values)  # rows x asset x (daily, weekly, monthly)
     blocks = []
-    for i, f in enumerate(feats):
-        _, resid = fit_har_ols(f)
-        X = np.column_stack([np.column_stack([g.daily, g.weekly, g.monthly])
-                             for j, g in enumerate(feats) if j != i])
+    for i in range(len(assets)):
+        _, resid = fit_har_ols(panel.values[:, i])
+        X = np.delete(feats, i, axis=1).reshape(len(resid), -1)
         blocks.append((X, resid))
     return blocks
 
@@ -299,11 +311,11 @@ def test_warm_started_path_on_har_cross_blocks_is_kkt_certified():
     # reports convergence short of the optimum on exactly these designs.
     for X, y in _har_cross_blocks():
         warm = None
-        for lam in default_lambda_grid(X, y, alpha=0.5, size=8):
+        for lam in default_lambda_grid(scaled_moments(X, y)[0], alpha=0.5, size=8):
             pen = PenaltySpec(float(lam), 0.5)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DidNotConvergeWarning)
-                fit = fit_elastic_net(X, y, pen, warm_start=warm)
+                fit = scaled_fit(X, y, pen, warm_start=warm)
             assert fit.converged
             assert kkt_violation(X, y, fit.coef, pen) <= DEFAULT_TOL
             warm = fit.coef
@@ -336,7 +348,7 @@ def test_converged_fits_are_kkt_certified_and_match_oracle(problem):
     tol = 1e-9
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DidNotConvergeWarning)
-        fit = fit_elastic_net(X, y, pen, tol=tol, warm_start=warm)
+        fit = scaled_fit(X, y, pen, tol=tol, warm_start=warm)
     assert np.all(np.isfinite(fit.coef))
     if not fit.converged:
         return
@@ -344,7 +356,7 @@ def test_converged_fits_are_kkt_certified_and_match_oracle(problem):
     Xs = X / np.std(X, axis=0, ddof=1)
     f_ref = enet_objective(Xs, y, enet_projected_gradient(Xs, y, pen.lam, pen.alpha),
                            pen.lam, pen.alpha)
-    assert abs(fit.objective - f_ref) <= 1e-9 * abs(f_ref)
+    assert abs(objective(X, y, fit.coef, pen) - f_ref) <= 1e-9 * abs(f_ref)
 
 
 def test_singular_active_gram_falls_back_to_least_squares(monkeypatch):
@@ -355,7 +367,7 @@ def test_singular_active_gram_falls_back_to_least_squares(monkeypatch):
     lstsq, calls = np.linalg.lstsq, []
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
     # both copies start active, so the first solve meets a singular Gram
-    fit = fit_elastic_net(X, y, pen, tol=1e-10, warm_start=np.array([0.7, 0.4, 0.0, 0.0]))
+    fit = scaled_fit(X, y, pen, tol=1e-10, warm_start=np.array([0.7, 0.4, 0.0, 0.0]))
     assert calls
     assert fit.converged
     np.testing.assert_allclose(X @ fit.coef, X @ ols, atol=1e-10)
@@ -375,14 +387,14 @@ def test_column_scales_of_a_subset_are_that_subset_of_the_scales(seed, M, P, dat
 
 
 def _cv_naive(X, y, grid, alpha, n_folds):
-    """(mean validation MSE per lam, selected lam) from a cold, self-standardizing
-    fit per (fold, lam) on the raw training rows, and the one-SE rule."""
+    """(mean validation MSE per lam, selected lam) from a cold fit per (fold, lam)
+    of the training rows, scaled by their own columns, and the one-SE rule."""
     blocks = np.array_split(np.arange(len(y)), n_folds)
     mse = np.empty((n_folds - 1, len(grid)))
     for f in range(1, n_folds):
         train, val = np.arange(blocks[f][0]), blocks[f]
         for g, lam in enumerate(grid):
-            coef = fit_elastic_net(X[train], y[train], PenaltySpec(lam, alpha)).coef
+            coef = scaled_fit(X[train], y[train], PenaltySpec(lam, alpha)).coef
             err = y[val] - X[val] @ coef
             mse[f - 1, g] = float(err @ err) / len(val)
     mean = mse.mean(axis=0)
@@ -400,35 +412,18 @@ def test_per_fold_cv_matches_naive_per_lambda_fits(seed, P, n_folds, alpha, size
     X = rng.standard_normal((M, P)) * 10.0 ** rng.uniform(-2, 2, P)
     y = X @ (rng.standard_normal(P) * (rng.random(P) < 0.6) / np.std(X, axis=0)) \
         + rng.standard_normal(M)
-    grid = default_lambda_grid(X, y, alpha, size=size, ratio=1e-3)
+    grid = default_lambda_grid(scaled_moments(X, y)[0], alpha, size=size, ratio=1e-3)
     res = cross_validate_lambda(X, y, grid, alpha, n_folds)
     want, selected = _cv_naive(X, y, grid, alpha, n_folds)
     np.testing.assert_allclose(res.mean_val_mse, want, rtol=1e-10, atol=0)
     assert res.selected_lambda == selected
 
 
-@settings(max_examples=100, deadline=None)
-@given(_enet_problems())
-def test_moments_entry_matches_design_entry_bitwise(problem):
-    X, y, pen, warm = problem
-    Xs = X / _column_scales(X)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DidNotConvergeWarning)
-        by_design = fit_elastic_net(Xs, y, pen, tol=1e-9, standardize=False, warm_start=warm)
-        by_moments = fit_elastic_net(Moments.of(Xs, y), None, pen, tol=1e-9, warm_start=warm)
-    np.testing.assert_array_equal(by_moments.coef, by_design.coef)
-    assert by_moments.n_sweeps == by_design.n_sweeps
-    assert by_moments.converged == by_design.converged
-    assert lambda_max(Moments.of(Xs, y), None, pen.alpha) == \
-        lambda_max(Xs, y, pen.alpha, standardize=False)
-
-
 def test_cv_fits_each_fold_from_its_moments_as_from_its_scaled_design():
-    # the path CV took when it refitted each (fold, lam) from the fold's scaled
-    # design, warm-started down the grid; fitting from the fold's Gram gives the
-    # same bits
+    # each fold scales its columns by its training rows, forms their Gram once,
+    # and fits the grid from it in descending order, warm-started down the path
     X, y = random_problem(61, M=150, P=6)
-    grid = default_lambda_grid(X, y, 0.5, size=12, ratio=1e-3)
+    grid = default_lambda_grid(scaled_moments(X, y)[0], 0.5, size=12, ratio=1e-3)
     res = cross_validate_lambda(X, y, grid, 0.5, n_folds=4)
     blocks = np.array_split(np.arange(len(y)), 4)
     mse = np.empty((3, grid.size))
@@ -437,8 +432,8 @@ def test_cv_fits_each_fold_from_its_moments_as_from_its_scaled_design():
         scale = _column_scales(X[:n_train])
         warm = None
         for g in range(grid.size):  # the grid is descending
-            fit = fit_elastic_net(X[:n_train] / scale, y[:n_train], PenaltySpec(grid[g], 0.5),
-                                  standardize=False, warm_start=warm)
+            fit = fit_elastic_net(Moments.of(X[:n_train] / scale, y[:n_train]),
+                                  PenaltySpec(grid[g], 0.5), warm_start=warm)
             warm = fit.coef
             err = y[val] - (X[val] / scale) @ fit.coef
             mse[f - 1, g] = float(err @ err) / len(err)
@@ -448,19 +443,9 @@ def test_cv_fits_each_fold_from_its_moments_as_from_its_scaled_design():
 def test_moments_entry_checks_its_inputs():
     X, y = random_problem(67)
     stats = Moments.of(X, y)
-    pen = PenaltySpec(0.1)
-    # with a residual far from zero, the objective from the statistics is accurate
-    assert fit_elastic_net(stats, None, pen).objective == pytest.approx(
-        fit_elastic_net(X, y, pen, standardize=False).objective, rel=1e-12)
-    # the statistics are fitted as formed: `standardize` does not apply to them
-    np.testing.assert_array_equal(fit_elastic_net(stats, None, pen, standardize=False).coef,
-                                  fit_elastic_net(stats, None, pen).coef)
-    with pytest.raises(ValueError, match="takes no target"):
-        fit_elastic_net(stats, y, PenaltySpec(0.1))
     with pytest.raises(NonFiniteInput):
-        fit_elastic_net(Moments(stats.xtx, stats.xty, np.inf, stats.n), None, PenaltySpec(0.1))
+        fit_elastic_net(Moments(stats.xtx, np.full(4, np.inf), stats.n), PenaltySpec(0.1))
     with pytest.raises(ValueError, match="moments need"):
-        Moments(stats.xtx[:2], stats.xty, stats.yty, stats.n)
-    empty = fit_elastic_net(Moments(np.empty((0, 0)), np.empty(0), 4.0, 2), None,
-                            PenaltySpec(0.1))
-    assert empty.coef.shape == (0,) and empty.converged and empty.objective == 2.0
+        Moments(stats.xtx[:2], stats.xty, stats.n)
+    empty = fit_elastic_net(Moments(np.empty((0, 0)), np.empty(0), 2), PenaltySpec(0.1))
+    assert empty.coef.shape == (0,) and empty.converged

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -9,12 +8,12 @@ from hypothesis import strategies as st
 from volnet.errors import HistoryTooShort, NonFiniteInput, RankDeficientDesign, SeriesTooShort
 from volnet.har import (
     HarCoefficients,
-    HarFeatures,
     HarModelSet,
-    build_har_features,
+    PanelMoments,
     fit_har_ols,
     fit_har_panel,
     lag_means,
+    own_ols,
 )
 from volnet.hybrid import HybridModel
 from volnet.rv import RvPanel
@@ -34,54 +33,56 @@ def random_rv(n, seed):
     return 0.2 + 0.05 * rng.standard_normal(n).cumsum() / np.sqrt(np.arange(1, n + 1))
 
 
+def fit_features(features, target):
+    """HAR OLS of `target` on rows x 3 lag features, solved by `own_ols`."""
+    coef, resid = own_ols(PanelMoments.of(np.vstack([features.T, target])), (None,))
+    return HarCoefficients(*map(float, coef[0])), resid[0]
+
+
 def test_constant_series_features():
-    f = build_har_features(np.full(40, 3.7))
-    assert np.all(f.daily == 3.7)
-    assert np.all(f.weekly == pytest.approx(3.7))
-    assert np.all(f.monthly == pytest.approx(3.7))
-    assert np.all(f.target == 3.7)
+    f = lag_means(np.full(40, 3.7))
+    assert np.all(f[:, 0] == 3.7)
+    assert np.all(f[:, 1] == pytest.approx(3.7))
+    assert np.all(f[:, 2] == pytest.approx(3.7))
 
 
 def test_counting_series_hand_values():
-    f = build_har_features(np.arange(1.0, 24.0))  # 1..23
-    assert len(f) == 1
-    assert f.target[0] == 23.0
-    assert f.daily[0] == 22.0
-    assert f.weekly[0] == pytest.approx(20.0)     # mean of 18..22
-    assert f.monthly[0] == pytest.approx(11.5)    # mean of 1..22
+    f = lag_means(np.arange(1.0, 24.0))  # 1..23
+    assert f.shape == (1, 3)
+    assert f[0, 0] == 22.0
+    assert f[0, 1] == pytest.approx(20.0)     # mean of 18..22
+    assert f[0, 2] == pytest.approx(11.5)     # mean of 1..22
 
 
 def test_feature_length():
-    f = build_har_features(random_rv(100, 1))
-    assert len(f) == 78
+    v = random_rv(100, 1)
+    assert len(lag_means(v)) == 78
+    assert len(fit_har_ols(v)[1]) == 78
 
 
 def test_features_match_naive_loop():
     v = random_rv(200, 2)
-    f = build_har_features(v)
+    f = lag_means(v)
     ref = har_features_naive(v)
-    np.testing.assert_allclose(f.target, ref["target"], rtol=1e-14)
-    np.testing.assert_allclose(f.daily, ref["lag1"], rtol=1e-14)
-    np.testing.assert_allclose(f.weekly, ref["lag5"], rtol=1e-14)
-    np.testing.assert_allclose(f.monthly, ref["lag22"], rtol=1e-14)
+    np.testing.assert_array_equal(v[22:], ref["target"])
+    np.testing.assert_allclose(f[:, 0], ref["lag1"], rtol=1e-14)
+    np.testing.assert_allclose(f[:, 1], ref["lag5"], rtol=1e-14)
+    np.testing.assert_allclose(f[:, 2], ref["lag22"], rtol=1e-14)
 
 
 def test_weekly_monthly_bounded_by_lag_extremes():
     v = random_rv(300, 3)
-    f = build_har_features(v)
+    f = lag_means(v)
     for row, t in enumerate(range(22, 300)):
         week = v[t - 5:t]
         month = v[t - 22:t]
-        assert week.min() - 1e-12 <= f.weekly[row] <= week.max() + 1e-12
-        assert month.min() - 1e-12 <= f.monthly[row] <= month.max() + 1e-12
+        assert week.min() - 1e-12 <= f[row, 1] <= week.max() + 1e-12
+        assert month.min() - 1e-12 <= f[row, 2] <= month.max() + 1e-12
 
 
 def test_shift_equivariance():
     v = random_rv(150, 4)
-    full = build_har_features(v)
-    shifted = build_har_features(v[10:])
-    np.testing.assert_array_equal(full.target[10:], shifted.target)
-    np.testing.assert_array_equal(full.monthly[10:], shifted.monthly)
+    np.testing.assert_array_equal(lag_means(v)[10:], lag_means(v[10:]))
 
 
 @st.composite
@@ -117,48 +118,51 @@ def test_panel_lag_means_match_columns_and_exact_oracle(panel):
 
 def test_too_short_raises():
     with pytest.raises(SeriesTooShort):
-        build_har_features(np.ones(22))
+        fit_har_ols(np.ones(22))
 
 
 def synthetic_features(n, coef, seed, noise=0.0):
-    v = random_rv(n, seed)
-    f = build_har_features(v)
-    y = (coef.intercept + coef.beta_d * f.daily + coef.beta_w * f.weekly
-         + coef.beta_m * f.monthly)
+    """A series' lag features and a target the HAR `coef` makes of them."""
+    f = lag_means(random_rv(n, seed))
+    y = coef.intercept + f @ np.array([coef.beta_d, coef.beta_w, coef.beta_m])
     if noise:
         y = y + noise * np.random.default_rng(seed + 1).standard_normal(len(y))
-    return HarFeatures(y, f.daily, f.weekly, f.monthly)
+    return f, y
+
+
+def design(features):
+    return np.column_stack([np.ones(len(features)), features])
 
 
 def test_noiseless_recovery():
     true = HarCoefficients(0.01, 0.4, 0.3, 0.2)
-    fit, resid = fit_har_ols(synthetic_features(500, true, seed=5))
+    fit, resid = fit_features(*synthetic_features(500, true, seed=5))
     np.testing.assert_allclose(fit.as_array(), true.as_array(), atol=1e-8)
     assert np.max(np.abs(resid)) < 1e-8
 
 
 def test_matches_normal_equations_oracle():
     for seed in range(10):
-        f = synthetic_features(80, HarCoefficients(0.02, 0.3, 0.25, 0.2),
-                               seed=seed, noise=0.01)
-        fit, _ = fit_har_ols(f)
-        ref = ols_normal_equations(f.design(), f.target)
+        f, y = synthetic_features(80, HarCoefficients(0.02, 0.3, 0.25, 0.2),
+                                  seed=seed, noise=0.01)
+        fit, _ = fit_features(f, y)
+        ref = ols_normal_equations(design(f), y)
         np.testing.assert_allclose(fit.as_array(), ref, atol=1e-10)
 
 
 def test_constant_series_rank_deficient():
     with pytest.raises(RankDeficientDesign):
-        fit_har_ols(build_har_features(np.full(60, 0.2)))
+        fit_har_ols(np.full(60, 0.2))
 
 
 def test_residual_orthogonality_and_reconstruction():
-    f = synthetic_features(300, HarCoefficients(0.01, 0.35, 0.3, 0.2), seed=6, noise=0.02)
-    fit, resid = fit_har_ols(f)
-    X = f.design()
+    f, y = synthetic_features(300, HarCoefficients(0.01, 0.35, 0.3, 0.2), seed=6, noise=0.02)
+    fit, resid = fit_features(f, y)
+    X = design(f)
     scale = np.abs(X).sum(axis=0)
     np.testing.assert_allclose((X.T @ resid) / scale, 0.0, atol=1e-8)
     assert abs(resid.sum()) / len(resid) < 1e-8
-    np.testing.assert_allclose(X @ fit.as_array() + resid, f.target, rtol=1e-10)
+    np.testing.assert_allclose(X @ fit.as_array() + resid, y, rtol=1e-10)
 
 
 def test_persistence_examples():
@@ -172,14 +176,14 @@ def test_persistence_recovered_from_persistent_panel():
         own=(HarCoefficients(0.004, 0.45, 0.32, 0.20),),  # phi = 0.97
         innovation_cov=np.array([[2.5e-5]]), seed=8)
     panel = generate_synthetic_panel(spec)
-    fit, _ = fit_har_ols(build_har_features(panel.values[:, 0]))
+    fit, _ = fit_har_ols(panel.values[:, 0])
     assert 0.9 <= fit.persistence <= 1.0
 
 
 def test_explosive_fit_warns():
-    f = synthetic_features(400, HarCoefficients(0.0, 0.6, 0.3, 0.15), seed=9, noise=1e-4)
+    f, y = synthetic_features(400, HarCoefficients(0.0, 0.6, 0.3, 0.15), seed=9, noise=1e-4)
     with pytest.warns(UserWarning, match="persistence"):
-        fit, _ = fit_har_ols(f)
+        fit, _ = fit_features(f, y)
     assert fit.persistence >= 1.0
 
 
@@ -187,7 +191,7 @@ def test_har_model_set_prediction_and_panel_fit(zero_cross_panel):
     model = fit_har_panel(zero_cross_panel)
     # per-asset equality with univariate fits
     for i in range(3):
-        solo, _ = fit_har_ols(build_har_features(zero_cross_panel.values[:, i]))
+        solo, _ = fit_har_ols(zero_cross_panel.values[:, i])
         assert model.own[i] == solo
     hist = zero_cross_panel.values[-22:]
     pred = model.predict_one_step(hist)
@@ -247,17 +251,20 @@ def test_a_series_fitted_alone_gets_the_bits_of_its_panel_column(seed, K, N, for
         warnings.simplefilter("ignore", UserWarning)  # persistence >= 1 on some draws
         model = fit_har_panel(panel)
         for i in range(K):
-            f = build_har_features(values[:, i])
-            solo, _ = fit_har_ols(f)
+            solo, _ = fit_har_ols(values[:, i])
             assert solo == model.own[i]
-            np.testing.assert_allclose(solo.as_array(), ols_lstsq(f)[0], rtol=1e-9, atol=0)
+            ref = ols_lstsq(lag_means(values[:, i]), values[22:, i])[0]
+            np.testing.assert_allclose(solo.as_array(), ref, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("field", ["target", "daily", "monthly"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_features_or_targets_are_refused(field, bad):
-    f = build_har_features(random_rv(100, 3))
-    broken = getattr(f, field).copy()
-    broken[10] = bad
+    v = random_rv(100, 3)
+    rows = np.vstack([lag_means(v).T, v[22:]])  # daily, weekly, monthly, target
+    rows[("daily", "weekly", "monthly", "target").index(field), 10] = bad
     with pytest.raises(NonFiniteInput):
-        fit_har_ols(dataclasses.replace(f, **{field: broken}))
+        fit_features(rows[:3].T, rows[3])
+    v[50] = bad
+    with pytest.raises(NonFiniteInput):
+        fit_har_ols(v)

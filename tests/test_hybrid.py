@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volnet.elastic_net import DEFAULT_TOL, PenaltySpec, fit_elastic_net, kkt_violation, objective
+from volnet.elastic_net import (
+    DEFAULT_TOL,
+    Moments,
+    PenaltySpec,
+    _column_scales,
+    fit_elastic_net,
+    kkt_violation,
+    objective,
+)
 from volnet.errors import (
     HistoryTooShort,
     InvalidConfig,
@@ -15,7 +23,7 @@ from volnet.errors import (
     RankDeficientDesign,
     SeriesTooShort,
 )
-from volnet.har import HarCoefficients, build_har_features, fit_har_panel
+from volnet.har import HarCoefficients, fit_har_panel, lag_means
 from volnet.hybrid import (
     FEATURE_ORDER_TAG,
     FitConfig,
@@ -92,14 +100,16 @@ def test_own_coefficients_independent_of_penalty(two_asset_panel):
     assert np.any(loose.cross != 0.0)
 
 
-def assert_matches_standalone_fit(own, cross, X, feats, pen):
-    """A fit read off the panel's cross-product against lstsq residuals fed to the
-    design entry: the same zeros, the same objective on the design, certified
-    on it, and own coefficients close to lstsq."""
-    ols, resid = ols_lstsq(feats)
-    fit = fit_elastic_net(X, resid, pen)
-    np.testing.assert_array_equal(cross == 0.0, fit.coef == 0.0)
-    assert objective(X, resid, cross, pen) == pytest.approx(fit.objective, rel=1e-12, abs=0)
+def assert_matches_standalone_fit(own, cross, X, series, pen):
+    """A fit read off the panel's cross-product against lstsq residuals, fitted
+    from the scaled design's own statistics: the same zeros, the same objective
+    on the design, certified on it, and own coefficients close to lstsq."""
+    ols, resid = ols_lstsq(lag_means(series), series[22:])
+    scale = _column_scales(X)
+    coef = fit_elastic_net(Moments.of(X / scale, resid), pen).coef / scale
+    np.testing.assert_array_equal(cross == 0.0, coef == 0.0)
+    assert objective(X, resid, cross, pen) == pytest.approx(
+        objective(X, resid, coef, pen), rel=1e-12, abs=0)
     assert kkt_violation(X, resid, cross, pen) <= DEFAULT_TOL
     assert_close_to_lstsq(own, ols)
 
@@ -113,12 +123,11 @@ def test_fixed_lambdas_reproduce_manual_second_step(two_asset_panel):
     lams = (0.003, 0.007)
     model = fit_hybrid(two_asset_panel, fixed_lambdas=lams)
     np.testing.assert_array_equal(model.selected_lambda, np.array(lams))
+    feats = lag_means(two_asset_panel.values)
     for i in range(2):
-        feats_t = build_har_features(two_asset_panel.values[:, i])
         src = 1 - i
-        feats_s = build_har_features(two_asset_panel.values[:, src])
-        X = np.column_stack([feats_s.daily, feats_s.weekly, feats_s.monthly])
-        assert_matches_standalone_fit(model.own[i], model.cross[i, src], X, feats_t,
+        assert_matches_standalone_fit(model.own[i], model.cross[i, src], feats[:, src],
+                                      two_asset_panel.values[:, i],
                                       PenaltySpec(lams[i], model.alpha))
 
 
@@ -135,12 +144,11 @@ def test_cross_fits_match_standalone_fits_on_unscaled_designs(seed, K, N, log_la
         warnings.simplefilter("ignore", UserWarning)  # persistence >= 1 on some draws
         model = fit_hybrid(panel, fixed_lambdas=lams)
         har = fit_har_panel(panel)
-        feats = [build_har_features(values[:, i]) for i in range(K)]
+        feats = lag_means(values)
         for i in range(K):
-            X = np.column_stack([np.column_stack([f.daily, f.weekly, f.monthly])
-                                 for j, f in enumerate(feats) if j != i])
+            X = np.delete(feats, i, axis=1).reshape(len(feats), -1)
             cross = np.delete(model.cross[i], i, axis=0).ravel()
-            assert_matches_standalone_fit(model.own[i], cross, X, feats[i],
+            assert_matches_standalone_fit(model.own[i], cross, X, values[:, i],
                                           PenaltySpec(lams[i], model.alpha))
             np.testing.assert_array_equal(model.own[i].as_array(),
                                           har.own[i].as_array())
@@ -197,7 +205,7 @@ def test_single_asset_fixed_lambda_is_recorded(zero_cross_panel):
     model = fit_hybrid(solo, fixed_lambdas=(0.01,))
     assert model.selected_lambda.tolist() == [0.01]
     assert np.all(model.cross == 0.0)
-    coef, resid = ols_lstsq(build_har_features(solo.values[:, 0]))
+    coef, resid = ols_lstsq(lag_means(solo.values[:, 0]), solo.values[22:, 0])
     assert_close_to_lstsq(model.own[0], coef)
     np.testing.assert_allclose(model.residual_cov, np.cov(resid, ddof=1).reshape(1, 1),
                                rtol=1e-12, atol=0)

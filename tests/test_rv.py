@@ -246,6 +246,14 @@ def test_csv_reader_rejects_a_repeated_asset_column(tmp_path):
     assert exc.value.line_number == 2
 
 
+@pytest.mark.parametrize("header",
+                         ["date,A, ", "date,A,", "date, ,B", "date,A,\t", 'date,"A",B'])
+def test_csv_reader_rejects_a_blank_asset_column(tmp_path, header):
+    with pytest.raises(UnparseableRow, match="line 2: RV header names a blank or quoted asset") as exc:
+        _read(tmp_path, header, GOOD_ROWS)
+    assert exc.value.line_number == 2
+
+
 @pytest.mark.parametrize("row, detail", [
     ("2020-01-07,0.2", "line 6: 2 fields, expected 3"),
     ("2020-01-07,0.2,0.3,0.4", "line 6: 4 fields, expected 3"),
