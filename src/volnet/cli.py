@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import stat
@@ -31,7 +32,7 @@ import numpy as np
 from . import bootstrap as boot
 from . import evaluate, ingest, jirf, rv, stationarity, synthetic
 from .config import RunConfig, config_hash, load_config
-from .errors import InvalidConfig, VolnetError
+from .errors import InvalidConfig, VolnetError, WindowTooSmall
 from .har import fit_har_panel
 from .hybrid import (
     HORIZON_LABELS,
@@ -183,6 +184,10 @@ def _jirf_csv(model, groups: Sequence[jirf.ShockGroup], horizon: int,
 # --- subcommands ---
 
 def cmd_rv(args) -> int:
+    try:  # the flags are checked before any file is read
+        cfg = rv.YzConfig(args.window, args.annualization)
+    except (ValueError, WindowTooSmall) as exc:
+        raise InvalidConfig(str(exc)) from None
     data_dir = Path(args.data_dir)
     if args.assets:
         assets = [a.strip() for a in args.assets.split(",") if a.strip()]
@@ -195,7 +200,6 @@ def cmd_rv(args) -> int:
         raise InvalidConfig(f"--assets names {', '.join(repeated)} more than once")
     series = [ingest.load_ohlc_csv(data_dir / f"{a}.csv", asset=a) for a in assets]
     panel = ingest.align_panel(series)
-    cfg = rv.YzConfig(args.window, args.annualization)
     per_asset = [rv.yang_zhang_rv(s, cfg) for s in panel.series]
     h = config_hash({"cmd": "rv", "assets": assets, "window": args.window,
                      "annualization": args.annualization})
@@ -397,25 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=30)
     p.add_argument("--annualization", type=float, default=252.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rv)
 
     p = sub.add_parser("fit", help="fit the two-step spillover model")
     p.add_argument("--rv", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="train/test split and one-step forecast metrics")
     p.add_argument("--rv", required=True)
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("network", help="edge list of nonzero cross coefficients")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_network)
 
     p = sub.add_parser("jirf", help="joint impulse responses for shock groups")
     p.add_argument("--model", required=True)
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=jirf.DEFAULT_HORIZON)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_jirf)
 
     p = sub.add_parser("bootstrap", help="block-bootstrap confidence bands for JIRFs")
     p.add_argument("--rv", required=True)
@@ -437,17 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=jirf.DEFAULT_HORIZON)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("diagnose", help="ADF and KPSS stationarity diagnostics")
     p.add_argument("--rv", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("simulate", help="generate a synthetic RV panel")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="JSON summary plus plot-ready CSVs")
     p.add_argument("--rv", required=True)
@@ -459,17 +455,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"with --groups only; default: {jirf.DEFAULT_HORIZON}")
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs about a millisecond,
+    and parse_args leaves it as it was, so every call of main can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one volnet command; it may be called any number of times in a process.
+
+    The command's function is looked up by name, `cmd_<command>`, in this
+    module at each call, not held by the parser, so a function replaced on
+    the module after the first call (as a tracer does) is the one that runs.
+    """
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "horizon", None) is not None and args.horizon < 0:
             raise InvalidConfig(f"--horizon must be >= 0, got {args.horizon}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except VolnetError as exc:
         detail = str(exc).replace("\n", " ")
         print(f"volnet: code={exc.code} {detail}", file=sys.stderr)

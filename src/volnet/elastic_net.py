@@ -168,10 +168,11 @@ def _feature_sign_step(gamma: np.ndarray, sign: np.ndarray, active: np.ndarray,
     Solves the stationarity equations with the signs held fixed, as a Newton
     step from the current point (so a repeated step refines the last solve),
     then keeps the lowest-objective point among the solution and the zero
-    crossings on the segment to it.
+    crossings on the segment to it. When no active coefficient crosses zero,
+    the solution is the only point, and it is taken without the comparison.
     """
     A = np.flatnonzero(active)
-    H_A = H[np.ix_(A, A)]
+    H_A = H[A[:, None], A]
     rhs = c[A] - thr * sign[A]
     try:
         step = np.linalg.solve(H_A, rhs)
@@ -180,12 +181,14 @@ def _feature_sign_step(gamma: np.ndarray, sign: np.ndarray, active: np.ndarray,
     cur = gamma[A]
     target = cur + step
     flips = np.flatnonzero((cur != 0.0) & (np.sign(target) != np.sign(cur)))
-    t = cur[flips] / (cur[flips] - target[flips])
-    points = cur + np.append(t, 1.0)[:, None] * step
-    points[np.arange(flips.size), flips] = 0.0
-    f = (-(points @ q[A]) + 0.5 * np.einsum("ij,jk,ik->i", points, H_A, points)
-         + thr * np.abs(points).sum(axis=1))
-    best = points[int(np.argmin(f))]
+    best = target
+    if flips.size:
+        t = cur[flips] / (cur[flips] - target[flips])
+        points = cur + np.append(t, 1.0)[:, None] * step
+        points[np.arange(flips.size), flips] = 0.0
+        f = (-(points @ q[A]) + 0.5 * np.einsum("ij,jk,ik->i", points, H_A, points)
+             + thr * np.abs(points).sum(axis=1))
+        best = points[int(np.argmin(f))]
     gamma[A] = best
     sign[A] = np.sign(best)
     active[A] = best != 0.0

@@ -223,12 +223,21 @@ def _check(ok: bool, name: str, want: str, value) -> None:
 
 
 def _finite_array(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """value, nested lists of this shape whose leaves are JSON numbers (int or
+    float, not a string or a bool, which np.asarray would coerce), as a finite
+    float array."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise InvalidConfig(f"model {name} is not numeric") from None
     if a.shape != shape:
         raise InvalidConfig(f"model {name} has shape {a.shape}, expected {shape}")
+    leaves = value
+    for _ in shape[1:]:
+        leaves = [x for row in leaves for x in row]
+    bad = next((x for x in leaves if type(x) not in (int, float)), None)
+    if bad is not None:
+        raise InvalidConfig(f"model {name} must hold JSON numbers only, got {bad!r}")
     if not np.all(np.isfinite(a)):
         raise InvalidConfig(f"model {name} has non-finite entries")
     return a

@@ -12,6 +12,7 @@ series produce no output.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +39,9 @@ class YzConfig:
     def __post_init__(self):
         if self.window < 2:
             raise WindowTooSmall(f"window {self.window} < 2")
-        if self.annualization <= 0:
-            raise ValueError("annualization must be positive")
+        if not (math.isfinite(self.annualization) and self.annualization > 0):
+            raise ValueError(f"annualization must be a finite number > 0, "
+                             f"got {self.annualization}")
 
 
 @dataclass(frozen=True)
@@ -127,51 +129,74 @@ def rv_csv_text(panel: RvPanel, comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_row(line: str) -> bool:
+    """False for a blank line or a `#` comment, which an RV file may hold anywhere."""
+    return bool(line.strip()) and not line.startswith("#")
+
+
+def _row_values(rows: Sequence[str], n_assets: int) -> np.ndarray | None:
+    """The numbers on data rows, as a len(rows) x n_assets array; None unless
+    every row holds exactly n_assets + 1 comma-separated fields and a number
+    in each field after the first."""
+    # loadtxt needs fields 1..n_assets on every row, so n_assets commas a row
+    # over all rows leaves exactly n_assets on each
+    if "\n".join(rows).count(",") != n_assets * len(rows):
+        return None
+    return parse_values(rows, n_assets, range(1, n_assets + 1))
+
+
 def read_rv_csv(path: str | Path) -> RvPanel:
     """Read an RV panel CSV, validating it where it enters.
 
     Blank lines and lines starting with `#` are skipped. The first other line
     is the header: `date`, then one column per asset. Each later line holds an
     ISO date and one finite number per asset, and the dates strictly
-    increase. The numbers are parsed as one block by np.loadtxt. A defect
-    raises MissingColumn (no header, no asset column), SeriesTooShort (no
-    data row), UnparseableRow (a blank or quoted asset column or one named
-    twice in the header, a ragged row, a bad date, a non-numeric or non-finite value) or
-    DatesNotIncreasing, naming the line of the file.
+    increase. The file is split into lines once, and the numbers of all rows
+    are parsed as one block by np.loadtxt; only when that block holds a `#`,
+    a blank line or a defect are the comment and blank lines dropped one by
+    one, and only when a defect remains is each row parsed alone, to name the
+    first. A defect raises MissingColumn (no header, no asset column),
+    SeriesTooShort (no data row), UnparseableRow (a blank or quoted asset
+    column or one named twice in the header, a ragged row, a bad date, a
+    non-numeric or non-finite value) or DatesNotIncreasing, naming the line
+    of the file.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    kept = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
-    if not kept:
+    start = next((i for i, line in enumerate(lines) if _is_row(line)), None)
+    if start is None:
         raise MissingColumn("RV file has no header row")
-    header = lines[kept[0]].split(",")
+    header = lines[start].split(",")
     if header[0].strip().lower() != "date":
-        raise MissingColumn(f"line {kept[0] + 1}: RV header must start with 'date', "
+        raise MissingColumn(f"line {start + 1}: RV header must start with 'date', "
                             f"got {header[0]!r}")
     assets = tuple(header[1:])
     if not assets:
-        raise MissingColumn(f"line {kept[0] + 1}: RV header names no asset column")
+        raise MissingColumn(f"line {start + 1}: RV header names no asset column")
     if not all(map(is_csv_name, assets)):
-        raise UnparseableRow(kept[0] + 1, f"RV header names a blank or quoted asset: {assets!r}")
+        raise UnparseableRow(start + 1, f"RV header names a blank or quoted asset: {assets!r}")
     repeat = next((a for i, a in enumerate(assets) if a in assets[:i]), None)
     if repeat is not None:
-        raise UnparseableRow(kept[0] + 1, f"RV header repeats asset column {repeat!r}")
-    body = kept[1:]
-    if not body:
-        raise SeriesTooShort("RV file has no data rows")
+        raise UnparseableRow(start + 1, f"RV header repeats asset column {repeat!r}")
     K = len(assets)
-    heads, tails = zip(*(lines[i].partition(",")[::2] for i in body))
-
-    values = parse_values(tails, K)
+    body = range(start + 1, len(lines))
+    rows = lines[start + 1:]
+    values = _row_values(rows, K) if rows and "#" not in "".join(rows) else None
+    if values is None:  # a comment or blank line among the rows, or a defect
+        body = [i for i in body if _is_row(lines[i])]
+        if not body:
+            raise SeriesTooShort("RV file has no data rows")
+        rows = [lines[i] for i in body]
+        values = _row_values(rows, K)
     if values is None:
-        k = next(k for k, tail in enumerate(tails) if parse_values([tail], K) is None)
-        row = lines[body[k]]
-        n_fields = len(row.split(","))
+        k = next(k for k, row in enumerate(rows) if _row_values([row], K) is None)
+        n_fields = rows[k].count(",") + 1
         raise UnparseableRow(body[k] + 1, f"{n_fields} fields, expected {K + 1}"
-                             if n_fields != K + 1 else f"non-numeric value in {row!r}")
+                             if n_fields != K + 1 else f"non-numeric value in {rows[k]!r}")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise UnparseableRow(body[int(np.argmin(finite))] + 1, "non-finite value")
+    heads = [row.partition(",")[0] for row in rows]
     try:
         dates = tuple(map(dt.date.fromisoformat, heads))
     except ValueError:

@@ -68,6 +68,36 @@ def enet_projected_gradient(X: np.ndarray, y: np.ndarray, lam: float, alpha: flo
     return u - v
 
 
+def feature_sign_step_segment_search(gamma: np.ndarray, sign: np.ndarray, active: np.ndarray,
+                                     H: np.ndarray, c: np.ndarray, q: np.ndarray,
+                                     thr: float) -> int:
+    """One feature-sign step that always searches the segment: the Newton
+    target on the active set and every zero crossing on the way to it are
+    compared by objective, even when nothing crosses zero and the target is
+    the only point. Updates its arguments in place, as the solver's step
+    does, and returns the number of crossings compared."""
+    A = np.flatnonzero(active)
+    H_A = H[np.ix_(A, A)]
+    rhs = c[A] - thr * sign[A]
+    try:
+        step = np.linalg.solve(H_A, rhs)
+    except np.linalg.LinAlgError:
+        step = np.linalg.lstsq(H_A, rhs, rcond=None)[0]
+    cur = gamma[A]
+    target = cur + step
+    flips = np.flatnonzero((cur != 0.0) & (np.sign(target) != np.sign(cur)))
+    t = cur[flips] / (cur[flips] - target[flips])
+    points = cur + np.append(t, 1.0)[:, None] * step
+    points[np.arange(flips.size), flips] = 0.0
+    f = (-(points @ q[A]) + 0.5 * np.einsum("ij,jk,ik->i", points, H_A, points)
+         + thr * np.abs(points).sum(axis=1))
+    best = points[int(np.argmin(f))]
+    gamma[A] = best
+    sign[A] = np.sign(best)
+    active[A] = best != 0.0
+    return int(flips.size)
+
+
 def soft_threshold(z: float, t: float) -> float:
     """Shrink z toward 0 by t; 0 when |z| <= t."""
     if z > t:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from volnet import cli, rv
-from volnet.cli import main
+from volnet.cli import build_parser, main
 from volnet.config import config_from_dict, config_hash, load_config
 from volnet.errors import InvalidConfig
 from volnet.evaluate import build_forecast_report, rolling_forecast, split_train_test
@@ -490,6 +490,13 @@ MODEL_DEFECTS = {
     "n_obs_negative": lambda d: d.update(n_obs=-1),
     "own_entry_missing_key": lambda d: d["own"][0].pop("beta_m"),
     "sample_start_not_a_string": lambda d: d.update(sample_start=20180101),
+    "cross_a_string": _set("cross", (0, 1, 0), "0.1"),
+    "cross_a_bool": _set("cross", (1, 0, 2), True),
+    "lambda_a_string": _set("selected_lambda", (0,), "0.01"),
+    "lambda_a_bool": _set("selected_lambda", (1,), True),
+    "own_a_string": _set("own", (0, "beta_d"), "0.4"),
+    "own_a_bool": _set("own", (1, "intercept"), False),
+    "cov_a_string": _set("residual_cov", (0, 0), "0.0001"),
     **{f"no_{key}": (lambda d, key=key: d.pop(key))
        for key in ("assets", "lags", "alpha", "own", "cross", "selected_lambda", "residual_cov",
                    "sample_start", "sample_end", "n_obs")},
@@ -740,14 +747,18 @@ def test_group_members_must_be_distinct_model_assets(workdir, tmp_path, capsys, 
     ("bootstrap", "--reps", "0"), ("bootstrap", "--block", "0"), ("bootstrap", "--ci", "1.5"),
     ("bootstrap", "--ci", "0"), ("bootstrap", "--seed", "-1"), ("bootstrap", "--horizon", "-1"),
     ("jirf", "--horizon", "-1"), ("report", "--horizon", "-1"),
+    ("rv", "--window", "1"), ("rv", "--annualization", "-1"), ("rv", "--annualization", "0"),
+    ("rv", "--annualization", "nan"), ("rv", "--annualization", "inf"),
 ])
 def test_a_bad_flag_is_invalid_config_before_any_file_is_touched(tmp_path, capsys, command,
                                                                  flag, value):
     # every input named here is missing: reading one would fail as FileNotFound
     missing = tmp_path / "missing"
     inputs = {"bootstrap": ["--rv", "--model", "--groups"], "jirf": ["--model", "--groups"],
-              "report": ["--rv", "--model", "--groups"]}[command]
+              "report": ["--rv", "--model", "--groups"], "rv": ["--data-dir"]}[command]
     args = [command, flag, value, *(a for f in inputs for a in (f, str(missing / f[2:])))]
+    if command == "rv":
+        args += ["--assets", "A"]
     out = tmp_path / "out"
     args += ["--out-dir" if command == "report" else "--out", str(out)]
     assert main(args) == 1
@@ -790,12 +801,73 @@ def test_thread_count_defaults_to_one(workdir, tmp_path, monkeypatch, capsys):
 
 
 def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["unknown-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["fit", "--rv"])  # missing value
-    assert exc.value.code == 2
+    # on every call, also after the process has run a command
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(["unknown-command"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--rv"])  # missing value
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["rv", "--data-dir", "d", "--out", "o", "--window", "x"])
+        assert exc.value.code == 2
+        assert main(["diagnose", "--rv", "/nonexistent/rv.csv", "--out", "o"]) == 1
+
+
+def test_main_builds_one_parser_for_many_calls(workdir, tmp_path, monkeypatch):
+    built = []
+
+    def counted_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    for k in range(3):
+        out = tmp_path / f"net{k}.csv"
+        assert main(["network", "--model", str(workdir["model"]), "--out", str(out)]) == 0
+        assert out.read_bytes() == workdir["network"].read_bytes()
+        out = tmp_path / f"jirf{k}.csv"
+        assert main(["jirf", "--model", str(workdir["model"]), "--groups",
+                     str(workdir["groups"]), "--horizon", "6", "--out", str(out)]) == 0
+        assert out.read_bytes() == workdir["jirf"].read_bytes()
+    assert len(built) == 1
+
+
+def test_main_runs_the_command_function_the_module_holds_at_each_call(workdir, tmp_path,
+                                                                       monkeypatch):
+    # a tracer replaces cli.cmd_* after the parser is built; the replacement must run
+    out = tmp_path / "net.csv"
+    args = ["network", "--model", str(workdir["model"]), "--out", str(out)]
+    assert main(args) == 0
+    calls = []
+    original = cli.cmd_network
+
+    def wrapper(parsed):
+        calls.append(parsed.command)
+        return original(parsed)
+
+    monkeypatch.setattr(cli, "cmd_network", wrapper)
+    assert main(args) == 0
+    assert main(args) == 0
+    assert calls == ["network", "network"]
+    assert out.read_bytes() == workdir["network"].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"], ["bootstrap", "--help"]])
+def test_help_is_the_same_on_every_call(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert texts[0] == texts[1] == capsys.readouterr().out
+    assert texts[0].startswith(f"usage: volnet {' '.join(argv[:-1])}".rstrip() + " ")
 
 
 def test_module_entry_point_runs():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volnet import elastic_net
 from volnet.elastic_net import (
     DEFAULT_TOL,
     CvResult,
@@ -28,7 +29,12 @@ from volnet.errors import (
 from volnet.har import HarCoefficients, fit_har_ols, lag_means
 from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
 
-from oracles import enet_objective, enet_projected_gradient, soft_threshold
+from oracles import (
+    enet_objective,
+    enet_projected_gradient,
+    feature_sign_step_segment_search,
+    soft_threshold,
+)
 
 
 def random_problem(seed, M=40, P=4, unit_columns=False):
@@ -449,3 +455,51 @@ def test_moments_entry_checks_its_inputs():
         Moments(stats.xtx[:2], stats.xty, stats.n)
     empty = fit_elastic_net(Moments(np.empty((0, 0)), np.empty(0), 2), PenaltySpec(0.1))
     assert empty.coef.shape == (0,) and empty.converged
+
+
+def test_feature_sign_step_matches_the_segment_search_bit_for_bit(monkeypatch):
+    # The step assigns the Newton target when nothing crosses zero; the
+    # segment search it skips would pick that same point, so every fit, cold,
+    # warm-started from a random point, or warm-started along a lambda path,
+    # must keep its bits, its iteration count and its convergence flag.
+    rng = np.random.default_rng(20070101)
+    problems = []
+    for _ in range(60):
+        M, P = int(rng.integers(10, 120)), int(rng.integers(1, 13))
+        mix = np.eye(P) + rng.uniform(-0.9, 0.9, (P, P)) * (rng.random((P, P)) < 0.4)
+        X = rng.standard_normal((M, P)) @ mix  # correlated columns make paths cross zero
+        y = X @ (rng.standard_normal(P) * (rng.random(P) < 0.6)) + rng.standard_normal(M)
+        stats, _ = scaled_moments(X, y)
+        alpha = float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95)]))
+        grid = default_lambda_grid(stats, alpha=max(alpha, 0.05), size=8)
+        warm = rng.standard_normal(P) * 3.0 * (rng.random(P) < 0.7)
+        problems.append((stats, alpha, grid, warm))
+
+    def fits():
+        out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DidNotConvergeWarning)
+            for stats, alpha, grid, warm in problems:
+                path = None
+                for lam in grid:
+                    pen = PenaltySpec(float(lam), alpha)
+                    for start in (None, warm, path):
+                        out.append(fit_elastic_net(stats, pen, max_iter=200, warm_start=start))
+                    path = out[-3].coef
+        return out
+
+    fast = fits()
+    crossings = []
+
+    def oracle(*args):
+        crossings.append(feature_sign_step_segment_search(*args))
+
+    monkeypatch.setattr(elastic_net, "_feature_sign_step", oracle)
+    searched = fits()
+    assert len(fast) == len(searched) == 60 * 8 * 3
+    for a, b in zip(fast, searched):
+        assert a.coef.tobytes() == b.coef.tobytes()
+        assert (a.n_sweeps, a.converged) == (b.n_sweeps, b.converged)
+    # both kinds of step were taken: with zero crossings and without
+    assert sum(n > 0 for n in crossings) > 50
+    assert sum(n == 0 for n in crossings) > 50

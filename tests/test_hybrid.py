@@ -257,6 +257,22 @@ def test_model_from_dict_rejects_unknown_layout(two_asset_panel):
     assert model_to_dict(model)["feature_order"] == FEATURE_ORDER_TAG
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("cross", (0, 1, 0), "0.1"), ("cross", (1, 0, 2), True), ("selected_lambda", (0,), "0.001"),
+    ("selected_lambda", (1,), True), ("residual_cov", (1, 1), "1e-4"), ("own", (0, "beta_w"), True),
+])
+def test_model_from_dict_takes_json_numbers_only(two_asset_panel, field, index, value):
+    # np.asarray(..., dtype=float) would read "0.1" as 0.1 and True as 1.0
+    payload = model_to_dict(fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3)))
+    target = payload[field]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = value
+    with pytest.raises(InvalidConfig, match=f"model {field} must hold JSON numbers only, "
+                                            f"got {value!r}"):
+        model_from_dict(payload)
+
+
 def test_predict_history_validation(two_asset_panel):
     model = fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3))
     with pytest.raises(HistoryTooShort):

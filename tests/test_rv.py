@@ -40,6 +40,14 @@ def test_yz_weight_window_too_small():
         yz_weight(1)
 
 
+@pytest.mark.parametrize("annualization", [0.0, -1.0, float("nan"), float("inf")])
+def test_yz_config_needs_a_finite_positive_annualization(annualization):
+    with pytest.raises(ValueError, match="annualization must be a finite number > 0"):
+        YzConfig(30, annualization)
+    with pytest.raises(WindowTooSmall):
+        YzConfig(1)
+
+
 def test_rogers_satchell_flat_bar_zero():
     assert rogers_satchell_var(OhlcBar(dt.date(2020, 1, 1), 100, 100, 100, 100)) == 0.0
 
@@ -214,6 +222,26 @@ def test_csv_reader_skips_comments_and_blank_lines(tmp_path):
     np.testing.assert_array_equal(back.values, [[0.2, 0.3], [1e-3, 0.25]])
 
 
+@pytest.mark.parametrize("text", [
+    # a comment that would parse as a row, alone and with a blank and a
+    # whitespace-only line, between rows
+    "date,A,B\n2020-01-02,0.2,0.3\n# 1,2,3\n2020-01-03,1e-3,0.25\n",
+    "date,A,B\n2020-01-02,0.2,0.3\n# 1,2,3\n\n \t\n2020-01-03,1e-3,0.25\n# end",
+    # CRLF line endings, with and without a final line break
+    "# config=abc\r\ndate,A,B\r\n2020-01-02,0.2,0.3\r\n2020-01-03,1e-3,0.25\r\n",
+    "# config=abc\r\ndate,A,B\r\n2020-01-02,0.2,0.3\r\n2020-01-03,1e-3,0.25",
+    "date,A,B\n2020-01-02,0.2,0.3\n2020-01-03,1e-3,0.25\n",
+    "date,A,B\n2020-01-02,0.2,0.3\n2020-01-03,1e-3,0.25",
+])
+def test_csv_reader_reads_any_line_ending_and_comments_anywhere(tmp_path, text):
+    path = tmp_path / "rv.csv"
+    path.write_bytes(text.encode())
+    back = read_rv_csv(path)
+    assert back.assets == ("A", "B")
+    assert back.dates == (dt.date(2020, 1, 2), dt.date(2020, 1, 3))
+    np.testing.assert_array_equal(back.values, [[0.2, 0.3], [1e-3, 0.25]])
+
+
 GOOD_ROWS = ["2020-01-02,0.2,0.3", "2020-01-03,0.21,0.31", "2020-01-06,0.22,0.32"]
 
 
@@ -268,12 +296,34 @@ def test_csv_reader_rejects_bad_row(tmp_path, row, detail):
     with pytest.raises(UnparseableRow, match=detail) as exc:
         _read(tmp_path, "date,A,B", GOOD_ROWS + [row, "2020-01-08,0.2,0.3"])
     assert exc.value.line_number == 6
+    # the same line of a file with CRLF line endings, and one line further
+    # down after a comment and a blank line among the rows
+    path = tmp_path / "rv_crlf.csv"
+    path.write_bytes("\r\n".join(["# config=abc", "date,A,B", *GOOD_ROWS, row,
+                                    "2020-01-08,0.2,0.3"]).encode())
+    with pytest.raises(UnparseableRow, match=detail):
+        read_rv_csv(path)
+    later = detail.replace("line 6", "line 8")
+    with pytest.raises(UnparseableRow, match=later) as exc:
+        _read(tmp_path, "date,A,B", GOOD_ROWS[:2] + ["# note", ""] + GOOD_ROWS[2:]
+              + [row, "2020-01-08,0.2,0.3"])
+    assert exc.value.line_number == 8
+
+
+def test_csv_reader_names_the_first_of_two_ragged_rows_that_compensate(tmp_path):
+    # one field too many, then one too few: as many fields as two good rows
+    rows = ["2020-01-07,0.2,0.3,2020-01-08", "0.2,0.3"]
+    with pytest.raises(UnparseableRow, match="line 6: 4 fields, expected 3") as exc:
+        _read(tmp_path, "date,A,B", GOOD_ROWS + rows)
+    assert exc.value.line_number == 6
 
 
 @pytest.mark.parametrize("date", ["2020-01-06", "2020-01-01"])
 def test_csv_reader_rejects_dates_that_do_not_increase(tmp_path, date):
     with pytest.raises(DatesNotIncreasing, match=f"line 6: date {date} does not follow"):
         _read(tmp_path, "date,A,B", GOOD_ROWS + [f"{date},0.2,0.3"])
+    with pytest.raises(DatesNotIncreasing, match=f"line 7: date {date} does not follow"):
+        _read(tmp_path, "date,A,B", GOOD_ROWS + ["# note", f"{date},0.2,0.3"])
 
 
 def test_rv_panel_rejects_bad_shape():
