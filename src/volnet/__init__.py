@@ -11,6 +11,7 @@ from .elastic_net import (
     CvResult,
     ElasticNetFit,
     PenaltySpec,
+    block_moments,
     cross_validate_lambda,
     default_lambda_grid,
     fit_elastic_net,
@@ -50,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapConfig", "JirfBand", "block_resample", "bootstrap_jirf",
-    "CvResult", "ElasticNetFit", "PenaltySpec", "cross_validate_lambda",
+    "CvResult", "ElasticNetFit", "PenaltySpec", "block_moments", "cross_validate_lambda",
     "default_lambda_grid", "fit_elastic_net",
     "VolnetError",
     "ForecastReport", "build_forecast_report", "forecast_metrics",

@@ -11,10 +11,14 @@ omit the 1/M. The solver reads a problem only through its sufficient
 statistics X'X, X'y and M (`Moments`), and fits it in the units they were
 formed in. Callers form them on columns scaled to unit sample standard
 deviation (scaled, not centered; there is no intercept to absorb centering)
-and map coefficients back: cross-validation forms each fold's scaled Gram once
-for its whole lambda path, and the hybrid estimator reads every cross block's
-Gram off one cross-product of the panel. A fit then costs only its active-set
-solves on P x P blocks; P = 3(K-1) here.
+and map coefficients back: the hybrid estimator reads every cross block's
+Gram off one cross-product of the panel, and cross-validation never sees
+rows either. It reads the cross-products of a basis and a ones column over
+each CV row block (`block_moments`), sums them into each fold's training
+statistics, and takes a design's Gram, its column scales and its validation
+error as bilinear forms of those sums, so each fold forms its scaled Gram
+once for its whole lambda path. A fit then costs only its active-set solves
+on P x P blocks; P = 3(K-1) here.
 
 With q = (2/M) X'y and G = (2/M) X'X, g is optimal when
 c = q - (G + lam(1-alpha) I) g satisfies the KKT conditions
@@ -246,50 +250,107 @@ def default_lambda_grid(stats: Moments, alpha: float = 0.5, size: int = 60,
     return np.geomspace(top, top * ratio, size)
 
 
-def cross_validate_lambda(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
-                          alpha: float = 0.5, n_folds: int = 5,
+def block_moments(rows: np.ndarray, n_folds: int) -> np.ndarray:
+    """Cross-products of W = [rows', 1] over each CV row block, the input of
+    `cross_validate_lambda`.
+
+    `rows` is Q x M, one variable per row (a basis the CV designs and targets
+    are linear in). The M observations are cut into `n_folds` consecutive
+    blocks as np.array_split cuts them; block f gets the (Q+1) x (Q+1)
+    product W_f'W_f, whose last row holds the block's column sums and its row
+    count. Raises TooFewObservations when a block would be empty.
+    """
+    Q, M = rows.shape
+    if M < n_folds:
+        raise TooFewObservations(f"{M} rows cannot form {n_folds} folds")
+    out = np.empty((n_folds, Q + 1, Q + 1))
+    for f, block in enumerate(np.array_split(np.arange(M), n_folds)):
+        W = rows[:, block[0]:block[-1] + 1]
+        out[f, :Q, :Q] = W @ W.T
+        out[f, :Q, Q] = out[f, Q, :Q] = W.sum(axis=1)
+        out[f, Q, Q] = len(block)
+    return out
+
+
+def _fold_scales(C: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sample standard deviation of each column of W @ basis over the rows
+    whose block products sum to C; 1 where it is within rounding of 0 or
+    there is one row, as `_column_scales` gives for a constant column."""
+    n = C[-1, -1]
+    if n < 2:
+        return np.ones(basis.shape[1])
+    CB = C @ basis
+    sq = np.einsum("ij,ij->j", basis, CB)
+    dev = np.maximum(sq - CB[-1] ** 2 / n, 0.0)  # CB[-1]: the columns' sums
+    return np.where(dev > n * np.finfo(float).eps * sq, np.sqrt(dev / (n - 1)), 1.0)
+
+
+def cross_validate_lambda(blocks: np.ndarray, design: np.ndarray, target: np.ndarray,
+                          grid: np.ndarray, alpha: float = 0.5,
                           tol: float = DEFAULT_TOL,
                           max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
     """Forward-chaining CV: fold k validates on block k, trains on blocks < k.
 
+    The rows are never seen: `blocks` holds each row block's cross-product of
+    W = [basis rows, 1] (`block_moments`), and the design and target are
+    linear in W, X = W @ design (M x P) and y = W @ target. The last row of
+    `design` is then each column's shift from its basis part, so a design that
+    is the basis plus its means is read off a centred basis. A fold's training
+    statistics are the sum of the blocks before it, and every quantity a fold
+    needs is a bilinear form of those sums or of its own block: the Gram X'X
+    and X'y, the column scales, and the validation error
+    r'r - 2 g'X'r + g'X'X g at coefficients g.
+
     Selection applies the one-standard-error rule in the sparse direction:
     among lam whose mean validation MSE is within one SE of the minimum, the
     LARGEST lam wins. Each fold scales its columns by the standard deviations
-    of its training rows only, forms the scaled Gram of those rows once, and
-    fits every lam from it.
+    of its training rows only, computed from the basis part of the design
+    (the shift does not move a spread), and fits every lam from the scaled
+    Gram in descending order, warm-started down the path.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise NonFiniteInput("design or target contains non-finite values")
+    blocks = np.asarray(blocks, dtype=float)
+    design = np.asarray(design, dtype=float)
+    target = np.asarray(target, dtype=float)
+    n_folds, P = len(blocks), design.shape[1]
+    if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(design))
+            and np.all(np.isfinite(target))):
+        raise NonFiniteInput("block moments, design or target contain non-finite values")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise GridEmpty("empty lambda grid")
     if n_folds < 2:
         raise ValueError(f"n_folds must be >= 2, got {n_folds}")
-    M, P = X.shape
-    if M < n_folds:
+    counts = blocks[:, -1, -1]
+    M = int(counts.sum())
+    if np.any(counts < 1):
         raise TooFewObservations(f"{M} rows cannot form {n_folds} folds")
     if M < n_folds * (P + 5):
         warnings.warn(f"only {M} rows for {n_folds}-fold CV with {P} features; "
                       "validation MSE will be noisy", UserWarning, stacklevel=2)
 
-    blocks = np.array_split(np.arange(M), n_folds)
+    basis = design.copy()
+    basis[-1] = 0.0
     order = np.argsort(grid)[::-1]  # descending: warm starts shrink toward OLS
     fold_mse = np.empty((n_folds - 1, grid.size))
-    for f, k in enumerate(range(1, n_folds)):
-        n_train = blocks[k][0]
-        val = slice(n_train, blocks[k][-1] + 1)
-        scale = _column_scales(X[:n_train])
-        train = Moments.of(X[:n_train] / scale, y[:n_train])
-        X_val = X[val] / scale
+    train = blocks[0].copy()
+    for f in range(n_folds - 1):
+        scale = _fold_scales(train, basis)
+        cd = train @ design
+        stats = Moments((design.T @ cd) / np.outer(scale, scale), (cd.T @ target) / scale,
+                        int(train[-1, -1]))
+        val = blocks[f + 1]
+        vd = val @ design
+        v_xx = (design.T @ vd) / np.outer(scale, scale)
+        v_xr = (vd.T @ target) / scale
+        v_rr = float(target @ val @ target)
         warm = None  # coefficients in scaled units
         for gi in order:
-            fit = fit_elastic_net(train, PenaltySpec(grid[gi], alpha),
+            fit = fit_elastic_net(stats, PenaltySpec(grid[gi], alpha),
                                   tol=tol, max_iter=max_iter, warm_start=warm)
-            warm = fit.coef
-            err = y[val] - X_val @ fit.coef
-            fold_mse[f, gi] = float(err @ err) / len(err)
+            g = warm = fit.coef
+            sse = v_rr - 2.0 * float(g @ v_xr) + float(g @ v_xx @ g)
+            fold_mse[f, gi] = max(sse, 0.0) / val[-1, -1]
+        train += val
 
     mean_mse = fold_mse.mean(axis=0)
     best = int(np.argmin(mean_mse))
@@ -299,5 +360,5 @@ def cross_validate_lambda(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
         se = 0.0
     eligible = grid[mean_mse <= mean_mse[best] + se]
     selected = float(np.max(eligible))
-    bounds = tuple((int(b[0]), int(b[-1]) + 1) for b in blocks)
-    return CvResult(grid, mean_mse, selected, bounds)
+    edges = np.cumsum(np.append(0, counts)).astype(int).tolist()
+    return CvResult(grid, mean_mse, selected, tuple(zip(edges[:-1], edges[1:])))

@@ -5,10 +5,11 @@ daily (lag 1), weekly (mean of lags 1..5), and monthly (mean of lags 1..22).
 The sum of the three slopes is the persistence phi, typically just below 1
 on volatility data.
 
-Fits run on a panel: `lag_means` builds every asset's features in one pass,
-`panel_moments` forms one centred cross-product of features and targets, and
-`own_ols` solves every asset's OLS from it. A single series is fitted as the
-one-asset panel (`fit_har_ols`).
+Fits run on a panel: `panel_moments` has `lag_means` write every asset's
+features into the rows of one 4K x M array, copies the targets in, centres
+the array in place and forms its cross-product, and `own_ols` solves every
+asset's OLS coefficients from it. A single series is fitted as the one-asset
+panel (`fit_har_ols`), which alone forms residuals.
 """
 
 from __future__ import annotations
@@ -42,29 +43,41 @@ class HarCoefficients:
         return np.array([self.intercept, self.beta_d, self.beta_w, self.beta_m])
 
 
-def lag_means(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS) -> np.ndarray:
+def lag_means(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Trailing lag averages. Row t holds, per lag L, mean(values[t-L..t-1]).
 
     `values` is a length-N series or an N x K panel; the output has
     N - max(lags) rows aligned to values[max(lags):] and one entry per lag on
     its last axis, shaped (rows, len(lags)) for a series and
-    (rows, K, len(lags)) for a panel. The sums are built from shifted
-    slices, newest day first: lag 1 is the value itself, and each longer lag
-    extends the running sum of the shorter one. Every row sees the same
-    sequence of operations, so a series' features do not depend on where it
-    starts, and a panel column gets the same bits as the column alone.
+    (rows, K, len(lags)) for a panel. It is written into `out` when given
+    (`panel_moments` passes a view of its panel array's rows), else into a new
+    array laid out the same way, each feature of each asset contiguous in
+    time. The sums are built from shifted slices, newest day first: lag 1 is
+    the value itself, and each longer lag extends the running sum of the
+    shorter one, which is kept in the longest lag's slot. Every row sees the
+    same sequence of operations, so a series' features do not depend on where
+    it starts, and a panel column gets the same bits as the column alone.
     """
     values = np.asarray(values, dtype=float)
     m = max(lags)
     n = len(values) - m
-    out = np.empty((n,) + values.shape[1:] + (len(lags),))
-    total = np.zeros((n,) + values.shape[1:])
+    shape = (n,) + values.shape[1:] + (len(lags),)
+    if out is None:
+        out = np.moveaxis(np.empty(shape[1:] + (n,)), -1, 0)
+    elif out.shape != shape:
+        raise ValueError(f"lag means need an output of shape {shape}, got {out.shape}")
+    # contiguous in time, as the rows of `out` are, so each sum runs at unit stride
+    values = np.asfortranarray(values)
+    order = np.argsort(lags, kind="stable")
+    total = out[..., order[-1]]
+    total[...] = 0.0
     summed = 0  # days already in the running sum
-    for h in np.argsort(lags, kind="stable"):
+    for h in order:
         for p in range(summed, lags[h]):  # add the value p + 1 days back
             total += values[m - 1 - p: m - 1 - p + n]
         summed = lags[h]
-        out[..., h] = total / lags[h]
+        np.divide(total, lags[h], out=out[..., h])
     return out
 
 
@@ -74,42 +87,49 @@ def fit_har_ols(values: np.ndarray,
 
     The one-asset case of `own_ols`, so a series fitted alone gets the same
     bits as its column of a panel fit (`fit_har_panel`, `fit_hybrid`). A
-    rank-deficient design is an error, never a silent pseudo-inverse.
+    rank-deficient design is an error, never a silent pseudo-inverse. The
+    residuals are the centred target less the slopes times the centred
+    features, so they have mean zero.
     """
-    coef, resid = own_ols(panel_moments(np.asarray(values, dtype=float)[:, None], lags), (None,))
+    pm = panel_moments(np.asarray(values, dtype=float)[:, None], lags)
+    coef = own_ols(pm, (None,))
+    F, y = pm.centred[:3].reshape(1, 3, pm.n_rows), pm.centred[3:]
+    resid = y - (coef[:, None, 1:] @ F)[:, 0]
     return HarCoefficients(*map(float, coef[0])), resid[0]
 
 
 @dataclass(frozen=True)
 class PanelMoments:
-    """A panel's lag features and targets Z = [F, Y] (M x 4K), held by column
-    as Zt = Z' (4K x M), with its column means, its centred columns and their
-    cross-product S = Z_c'Z_c. F holds asset k's daily/weekly/monthly features
-    in columns 3k..3k+2 and Y asset k's target in column 3K + k.
+    """A panel's lag features and targets Z = [F, Y] (M x 4K), centred and held
+    by column as Z_c' (4K x M), with the column means and the cross-product
+    S = Z_c'Z_c. F holds asset k's daily/weekly/monthly features in columns
+    3k..3k+2 and Y asset k's target in column 3K + k. The centred array is the
+    one M-sized array a fit keeps: the uncentred Z is the centred one plus the
+    means, which is all any reader needs of it.
     """
-    Zt: np.ndarray       # 4K x M
     mean: np.ndarray     # 4K
     centred: np.ndarray  # 4K x M, Z_c'
     S: np.ndarray        # 4K x 4K
 
     @classmethod
     def of(cls, Zt: np.ndarray) -> "PanelMoments":
-        """Moments of Zt. Raises SeriesTooShort below four rows of Z (an
-        intercept and three slopes per asset) and NonFiniteInput when a value,
-        or the product, is not finite. Each mean is a sum along its own
-        contiguous row, so it has the same bits whichever columns share Z."""
+        """Moments of Zt = Z' (4K x M, float), which is centred in place and
+        kept. Raises SeriesTooShort below four rows of Z (an intercept and
+        three slopes per asset) and NonFiniteInput when a value, or the
+        product, is not finite. Each mean is a sum along its own contiguous
+        row, so it has the same bits whichever columns share Z."""
         M = Zt.shape[1]
         if M < 4:
             raise SeriesTooShort(f"need >= 4 rows to fit 4 coefficients, got {M}")
-        if not np.all(np.isfinite(Zt)):
-            raise NonFiniteInput("lag features or targets are not finite")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-            mean = Zt.mean(axis=1)
-            centred = Zt - mean[:, None]
-            S = centred @ centred.T
+            mean = Zt.mean(axis=1)  # not finite when a value is not
+            if not np.all(np.isfinite(mean)):
+                raise NonFiniteInput("lag features or targets are not finite")
+            Zt -= mean[:, None]
+            S = Zt @ Zt.T
         if not np.all(np.isfinite(S)):
             raise NonFiniteInput("the panel's cross-product overflows")
-        return cls(Zt, mean, centred, S)
+        return cls(mean, Zt, S)
 
     @property
     def n_assets(self) -> int:
@@ -117,11 +137,16 @@ class PanelMoments:
 
     @property
     def n_rows(self) -> int:
-        return self.Zt.shape[1]
+        return self.centred.shape[1]
 
 
 def panel_moments(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS) -> PanelMoments:
-    """One centred cross-product of a T x K panel's lag features and targets."""
+    """One centred cross-product of a T x K panel's lag features and targets.
+
+    The features are written straight into the rows of the panel array, the
+    targets are copied in, and the array is centred in place, so it is the
+    only M-sized array the moments hold or make.
+    """
     values = np.asarray(values, dtype=float)
     m = max(lags)
     M = len(values) - m
@@ -130,24 +155,23 @@ def panel_moments(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS) -> Pan
                              f"got {len(values)}")
     K = values.shape[1]
     Zt = np.empty((4 * K, M))
-    Zt[:3 * K] = lag_means(values, lags).reshape(M, 3 * K).T
+    lag_means(values, lags, out=Zt[:3 * K].reshape(K, 3, M).transpose(2, 0, 1))
     Zt[3 * K:] = values[m:].T
     return PanelMoments.of(Zt)
 
 
-def own_ols(pm: PanelMoments, assets: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
+def own_ols(pm: PanelMoments, assets: Sequence[str | None]) -> np.ndarray:
     """Every asset's HAR OLS from its own block of the centred cross-product,
-    solved together.
+    solved together: the K x 4 coefficients (intercept, daily, weekly,
+    monthly).
 
-    Returns the K x 4 coefficients (intercept, daily, weekly, monthly) and
-    the K x M residuals, which have mean zero. The normal equations are solved
-    once, then refined by one step on the residuals of the centred rows, which
-    takes back most of what forming the cross-product costs in accuracy. The
-    blocks are formed per asset (one batched product each) rather than read
-    off S, so an asset gets the same bits alone (`fit_har_ols`) as in a panel.
-    A feature column that is constant, or a block that is singular to
-    working precision, is a RankDeficientDesign. Warns per asset whose
-    persistence is >= 1.
+    The normal equations are solved once, then refined by one step on the
+    residuals of the centred rows, which takes back most of what forming the
+    cross-product costs in accuracy. The blocks are formed per asset (one
+    batched product each) rather than read off S, so an asset gets the same
+    bits alone (`fit_har_ols`) as in a panel. A feature column that is
+    constant, or a block that is singular to working precision, is a
+    RankDeficientDesign. Warns per asset whose persistence is >= 1.
     """
     K, M = pm.n_assets, pm.n_rows
     F = pm.centred[:3 * K].reshape(K, 3, M)  # asset k's centred features
@@ -167,7 +191,6 @@ def own_ols(pm: PanelMoments, assets: Sequence[str | None]) -> tuple[np.ndarray,
     beta = np.linalg.solve(S_oo, F @ y[:, :, None])[:, :, 0]  # K x 3
     resid = y - (beta[:, None, :] @ F)[:, 0]
     beta += np.linalg.solve(S_oo, F @ resid[:, :, None])[:, :, 0]
-    resid = y - (beta[:, None, :] @ F)[:, 0]
     intercept = pm.mean[3 * K:] - (pm.mean[:3 * K].reshape(K, 3) * beta).sum(axis=1)
     coef = np.column_stack([intercept, beta])
     for a, phi in zip(assets, beta.sum(axis=1)):
@@ -175,7 +198,7 @@ def own_ols(pm: PanelMoments, assets: Sequence[str | None]) -> tuple[np.ndarray,
             where = f" for {a}" if a else ""
             warnings.warn(f"HAR persistence {phi:.4f} >= 1{where}; one-step forecasts remain "
                           "valid but impulse simulation will refuse", UserWarning, stacklevel=3)
-    return coef, resid
+    return coef
 
 
 def residual_map(beta: np.ndarray) -> np.ndarray:
@@ -252,6 +275,6 @@ class HarModelSet(HarStep):
 
 def fit_har_panel(panel: RvPanel, lags: Sequence[int] = DEFAULT_LAGS) -> HarModelSet:
     """Every asset's HAR by `own_ols`, the own step of the hybrid estimator."""
-    coef, _ = own_ols(panel_moments(panel.values, lags), panel.assets)
+    coef = own_ols(panel_moments(panel.values, lags), panel.assets)
     own = tuple(HarCoefficients(*map(float, row)) for row in coef)
     return HarModelSet(panel.assets, own, tuple(lags))

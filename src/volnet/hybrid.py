@@ -27,6 +27,7 @@ from .elastic_net import (
     DEFAULT_TOL,
     Moments,
     PenaltySpec,
+    block_moments,
     cross_validate_lambda,
     default_lambda_grid,
     fit_elastic_net,
@@ -104,12 +105,14 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     sqrt(diag S / (M - 1)).
     Coefficients are mapped back to the original feature scale here. The
     final residuals are Z_c B for a 4K x K matrix B, so their covariance is
-    B'SB / (M - 1). Cross-validation fits its folds from X itself, which it
-    receives with r.
+    B'SB / (M - 1). Cross-validation reads moments too: the cross-products of
+    [Z_c, 1] over each CV row block are formed once per fit
+    (`elastic_net.block_moments`), and asset i's folds see X as its cross
+    columns of Z_c shifted by their means, and r as Z_c times column i of B.
     """
     K = rv.n_assets
     pm = panel_moments(rv.values, cfg.lags)
-    coef, resid = own_ols(pm, rv.assets)
+    coef = own_ols(pm, rv.assets)
     M, P, S, k = pm.n_rows, 3 * K, pm.S, np.arange(K)
     mu = pm.mean[:P]
     scale = np.sqrt(np.diagonal(S)[:P] / (M - 1))  # nonzero: own_ols rejects constant features
@@ -123,20 +126,25 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     kc_all = np.nonzero(np.arange(P) // 3 != k[:, None])[1].reshape(K, P - 3)
     G_blocks = G[kc_all[:, :, None], kc_all[:, None, :]]  # K x (P-3) x (P-3)
     Xr_blocks = Xr[kc_all, k[:, None]]                    # K x (P-3)
+    if fixed_lambdas is None:
+        blocks = block_moments(pm.centred, cfg.cv_folds)
 
     cross = np.zeros((K, K, 3))
     lambdas = np.zeros(K)
     for i in range(K):
         kc = kc_all[i]
-        r = resid[i]
         stats = Moments(G_blocks[i], Xr_blocks[i], M)
         if fixed_lambdas is not None:
             lam = float(fixed_lambdas[i])
         else:
             grid = (np.asarray(cfg.lambda_grid, dtype=float) if cfg.lambda_grid is not None
                     else default_lambda_grid(stats, cfg.alpha, cfg.grid_size, cfg.grid_ratio))
-            X = np.ascontiguousarray(pm.Zt[kc].T)
-            cv = cross_validate_lambda(X, r, grid, cfg.alpha, cfg.cv_folds, cfg.tol, cfg.max_iter)
+            design = np.zeros((4 * K + 1, P - 3))  # [Z_c, 1] -> X: the columns, then the means
+            design[kc, np.arange(P - 3)] = 1.0
+            design[-1] = mu[kc]
+            target = np.append(B[:, i], 0.0)  # before the cross coefficients join column i
+            cv = cross_validate_lambda(blocks, design, target, grid, cfg.alpha,
+                                       cfg.tol, cfg.max_iter)
             lam = cv.selected_lambda
         lambdas[i] = lam
         fit = fit_elastic_net(stats, PenaltySpec(lam, cfg.alpha),

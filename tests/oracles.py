@@ -1,9 +1,11 @@
 """Independent reference implementations used to check the package.
 
-Nothing here imports solver code from volnet: the elastic-net oracle runs
-projected gradient on the positive/negative split of the coefficients, OLS
-runs through explicit normal equations, and quantiles are interpolated by
-hand on a sorted copy.
+The elastic-net oracle runs projected gradient on the positive/negative split
+of the coefficients, OLS runs through explicit normal equations, and
+quantiles are interpolated by hand on a sorted copy. Only the row-based
+cross-validation calls volnet's solver: it fits each fold's scaled rows, so
+it checks the block-moment arithmetic around the solver in
+`cross_validate_lambda`, not the solver itself.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ import math
 
 import numpy as np
 
+from volnet.elastic_net import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    CvResult,
+    Moments,
+    PenaltySpec,
+    _column_scales,
+    cross_validate_lambda,
+    fit_elastic_net,
+)
 from volnet.errors import DuplicateDate, MissingColumn, PriceInvariantViolation, UnparseableRow
 from volnet.ingest import REQUIRED_COLUMNS, OhlcBar, OhlcSeries, bar_defect
 
@@ -96,6 +108,63 @@ def feature_sign_step_segment_search(gamma: np.ndarray, sign: np.ndarray, active
     sign[A] = np.sign(best)
     active[A] = best != 0.0
     return int(flips.size)
+
+
+def cross_validate_rows(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
+                        alpha: float = 0.5, n_folds: int = 5, tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
+    """Forward-chaining CV read from the rows of the design X and target y.
+
+    Fold k validates on np.array_split block k and trains on the blocks
+    before it; it scales its columns by the standard deviations of its
+    training rows (`_column_scales`), forms the scaled Gram of those rows
+    once, fits the grid from it in descending order, warm-started down the
+    path, and takes each validation MSE from the residual rows. Selection is
+    the one-SE rule toward the largest lam.
+    """
+    blocks = np.array_split(np.arange(len(y)), n_folds)
+    order = np.argsort(grid)[::-1]
+    fold_mse = np.empty((n_folds - 1, grid.size))
+    for f, k in enumerate(range(1, n_folds)):
+        n_train = blocks[k][0]
+        val = slice(n_train, blocks[k][-1] + 1)
+        scale = _column_scales(X[:n_train])
+        train = Moments.of(X[:n_train] / scale, y[:n_train])
+        X_val = X[val] / scale
+        warm = None
+        for gi in order:
+            fit = fit_elastic_net(train, PenaltySpec(grid[gi], alpha),
+                                  tol=tol, max_iter=max_iter, warm_start=warm)
+            warm = fit.coef
+            err = y[val] - X_val @ fit.coef
+            fold_mse[f, gi] = float(err @ err) / len(err)
+    mean_mse = fold_mse.mean(axis=0)
+    best = int(np.argmin(mean_mse))
+    if fold_mse.shape[0] > 1:
+        se = float(np.std(fold_mse[:, best], ddof=1)) / np.sqrt(fold_mse.shape[0])
+    else:
+        se = 0.0
+    selected = float(np.max(grid[mean_mse <= mean_mse[best] + se]))
+    bounds = tuple((int(b[0]), int(b[-1]) + 1) for b in blocks)
+    return CvResult(grid, mean_mse, selected, bounds)
+
+
+def row_block_moments(X: np.ndarray, y: np.ndarray, n_folds: int) -> np.ndarray:
+    """Cross-products of the rows [X, y, 1] over each np.array_split block;
+    an empty block gives a zero product."""
+    W = np.column_stack([X, y, np.ones(len(y))])
+    return np.array([W[b].T @ W[b] for b in np.array_split(np.arange(len(y)), n_folds)])
+
+
+def cross_validate_via_blocks(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
+                              alpha: float = 0.5, n_folds: int = 5, **kw) -> CvResult:
+    """`cross_validate_lambda` on the design X and target y, through the
+    [X, y, 1] block products: X is the basis' first P columns, y the next."""
+    P = X.shape[1]
+    target = np.zeros(P + 2)
+    target[P] = 1.0
+    return cross_validate_lambda(row_block_moments(X, y, n_folds), np.eye(P + 2, P), target,
+                                 grid, alpha, **kw)
 
 
 def soft_threshold(z: float, t: float) -> float:

@@ -84,7 +84,7 @@ def test_har_noiseless_recovery_and_ols_oracle():
     d, w, m = lag_means(series).T
     truth = np.array([0.02, 0.5, 0.3, 0.15])
     y = truth[0] + truth[1] * d + truth[2] * w + truth[3] * m
-    coef, _ = own_ols(PanelMoments.of(np.array([d, w, m, y])), (None,))
+    coef = own_ols(PanelMoments.of(np.array([d, w, m, y])), (None,))
     recovery_err = float(np.max(np.abs(coef[0] - truth)))
 
     oracle_err = 0.0
@@ -95,7 +95,7 @@ def test_har_noiseless_recovery_and_ols_oracle():
         with warnings.catch_warnings():
             # noise targets routinely fit explosive persistence; irrelevant here
             warnings.filterwarnings("ignore", message="HAR persistence")
-            ours, _ = own_ols(PanelMoments.of(np.array([d, w, m, target])), (None,))
+            ours = own_ols(PanelMoments.of(np.array([d, w, m, target])), (None,))
         ref = ols_normal_equations(np.column_stack([np.ones(len(target)), d, w, m]), target)
         oracle_err = max(oracle_err, float(np.max(np.abs(ours[0] - ref))))
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from volnet.bootstrap import (
     BootstrapConfig,
     JirfBand,
+    _fit_replicate,
     block_resample,
     bootstrap_jirf,
 )
@@ -20,6 +23,7 @@ from volnet.jirf import ShockGroup, jirf_for_group
 from volnet.rv import RvPanel
 from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
 
+from conftest import planted_markets
 from oracles import quantile_sorted
 
 GROUPS = (ShockGroup("a_only", ("A",)), ShockGroup("both", ("A", "B")))
@@ -251,3 +255,20 @@ def test_failures_are_counted_per_error_code(boot_panel, monkeypatch):
     assert exc.value.by_code == {"ExplosiveModel": 2, "RankDeficientDesign": 2}
     assert str(exc.value) == ("4 of 10 replicates failed "
                               "(ExplosiveModel: 2, RankDeficientDesign: 2)")
+
+
+def test_a_replicate_holds_at_most_two_panel_arrays():
+    # a fit keeps one 4K x M array (features and targets, centred in place); the
+    # resampled panel and the small products come on top of it, and nothing
+    # else M-sized is made at once
+    panel = planted_markets(2500, 3)
+    K, M = panel.n_assets, len(panel) - 22
+    rng = np.random.default_rng([5, 0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _fit_replicate(panel, FitConfig(), (0.02,) * K, 50, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (4 * K * M * 8)

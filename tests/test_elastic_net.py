@@ -13,6 +13,7 @@ from volnet.elastic_net import (
     Moments,
     PenaltySpec,
     _column_scales,
+    block_moments,
     cross_validate_lambda,
     default_lambda_grid,
     fit_elastic_net,
@@ -26,13 +27,16 @@ from volnet.errors import (
     NonFiniteInput,
     TooFewObservations,
 )
-from volnet.har import HarCoefficients, fit_har_ols, lag_means
-from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
+from volnet.har import fit_har_ols, lag_means
 
+from conftest import planted_markets
 from oracles import (
+    cross_validate_rows,
+    cross_validate_via_blocks,
     enet_objective,
     enet_projected_gradient,
     feature_sign_step_segment_search,
+    row_block_moments,
     soft_threshold,
 )
 
@@ -228,7 +232,7 @@ def test_default_grid_shape():
 
 def test_cv_single_lambda_selected():
     X, y = random_problem(29, M=100, P=3)
-    res = cross_validate_lambda(X, y, np.array([0.07]), n_folds=4)
+    res = cross_validate_via_blocks(X, y, np.array([0.07]), n_folds=4)
     assert res.selected_lambda == 0.07
     assert res.mean_val_mse.shape == (1,)
     assert np.all(np.isfinite(res.mean_val_mse))
@@ -239,14 +243,14 @@ def test_cv_pure_noise_selects_null_model():
     X = rng.standard_normal((400, 40))
     y = rng.standard_normal(400)
     grid = default_lambda_grid(scaled_moments(X, y)[0], alpha=0.5)
-    res = cross_validate_lambda(X, y, grid, alpha=0.5, n_folds=5)
+    res = cross_validate_via_blocks(X, y, grid, alpha=0.5, n_folds=5)
     full = scaled_fit(X, y, PenaltySpec(res.selected_lambda, 0.5))
     assert np.mean(full.coef == 0.0) >= 0.95
 
 
 def test_cv_fold_structure_forward_chaining():
     X, y = random_problem(37, M=103, P=3)
-    res = cross_validate_lambda(X, y, np.array([0.1, 0.01]), n_folds=5)
+    res = cross_validate_via_blocks(X, y, np.array([0.1, 0.01]), n_folds=5)
     bounds = res.fold_boundaries
     assert bounds[0][0] == 0
     assert bounds[-1][1] == 103
@@ -258,11 +262,11 @@ def test_cv_fold_structure_forward_chaining():
 def test_cv_errors_and_warning():
     X, y = random_problem(41, M=40, P=5)
     with pytest.raises(GridEmpty):
-        cross_validate_lambda(X, y, np.array([]), n_folds=5)
+        cross_validate_via_blocks(X, y, np.array([]), n_folds=5)
     with pytest.raises(TooFewObservations):
-        cross_validate_lambda(X[:4], y[:4], np.array([0.1]), n_folds=5)
+        cross_validate_via_blocks(X[:4], y[:4], np.array([0.1]), n_folds=5)
     with pytest.warns(UserWarning, match="noisy"):
-        cross_validate_lambda(X, y, np.array([0.1]), n_folds=5)
+        cross_validate_via_blocks(X, y, np.array([0.1]), n_folds=5)
 
 
 def test_cv_keeps_signal_feature():
@@ -270,7 +274,7 @@ def test_cv_keeps_signal_feature():
     X = rng.standard_normal((400, 6))
     y = 1.5 * X[:, 2] + 0.2 * rng.standard_normal(400)
     grid = default_lambda_grid(scaled_moments(X, y)[0], alpha=0.5)
-    res = cross_validate_lambda(X, y, grid, alpha=0.5, n_folds=5)
+    res = cross_validate_via_blocks(X, y, grid, alpha=0.5, n_folds=5)
     full = scaled_fit(X, y, PenaltySpec(res.selected_lambda, 0.5))
     assert full.coef[2] > 0.5
     assert res.selected_lambda in set(grid)
@@ -279,8 +283,8 @@ def test_cv_keeps_signal_feature():
 def test_cv_deterministic():
     X, y = random_problem(47, M=120, P=4)
     grid = default_lambda_grid(scaled_moments(X, y)[0])
-    a = cross_validate_lambda(X, y, grid)
-    b = cross_validate_lambda(X, y, grid)
+    a = cross_validate_via_blocks(X, y, grid)
+    b = cross_validate_via_blocks(X, y, grid)
     assert a.selected_lambda == b.selected_lambda
     np.testing.assert_array_equal(a.mean_val_mse, b.mean_val_mse)
 
@@ -288,23 +292,10 @@ def test_cv_deterministic():
 def _har_cross_blocks(n_days=2500, seed=5):
     """(design, target) per asset: the other assets' HAR features against the
     asset's own-HAR residual, as the hybrid estimator builds them."""
-    assets = ("ES", "NQ", "CL", "ZN", "ZC", "ZW")
-    own = (HarCoefficients(0.016, 0.35, 0.35, 0.20), HarCoefficients(0.020, 0.33, 0.37, 0.20),
-           HarCoefficients(0.030, 0.20, 0.10, 0.05), HarCoefficients(0.004, 0.30, 0.35, 0.25),
-           HarCoefficients(0.022, 0.32, 0.33, 0.25), HarCoefficients(0.028, 0.30, 0.35, 0.25))
-    sd = np.array([0.025, 0.030, 0.020, 0.008, 0.035, 0.040])
-    corr = np.eye(6)
-    for a, b, r in ((0, 1, 0.85), (0, 2, 0.2), (1, 2, 0.2), (0, 3, 0.2), (1, 3, 0.2),
-                    (2, 3, 0.1), (4, 5, 0.6)):
-        corr[a, b] = corr[b, a] = r
-    edges = (PlantedEdge("ES", "CL", "daily", 0.45), PlantedEdge("NQ", "CL", "weekly", 0.20),
-             PlantedEdge("ES", "ZN", "daily", 0.05))
-    panel = generate_synthetic_panel(SyntheticSpec(
-        assets=assets, length=n_days, own=own, cross=edges,
-        innovation_cov=corr * np.outer(sd, sd), seed=seed, floor=1e-3))
+    panel = planted_markets(n_days, seed)
     feats = lag_means(panel.values)  # rows x asset x (daily, weekly, monthly)
     blocks = []
-    for i in range(len(assets)):
+    for i in range(panel.n_assets):
         _, resid = fit_har_ols(panel.values[:, i])
         X = np.delete(feats, i, axis=1).reshape(len(resid), -1)
         blocks.append((X, resid))
@@ -419,31 +410,70 @@ def test_per_fold_cv_matches_naive_per_lambda_fits(seed, P, n_folds, alpha, size
     y = X @ (rng.standard_normal(P) * (rng.random(P) < 0.6) / np.std(X, axis=0)) \
         + rng.standard_normal(M)
     grid = default_lambda_grid(scaled_moments(X, y)[0], alpha, size=size, ratio=1e-3)
-    res = cross_validate_lambda(X, y, grid, alpha, n_folds)
+    res = cross_validate_via_blocks(X, y, grid, alpha, n_folds)
     want, selected = _cv_naive(X, y, grid, alpha, n_folds)
     np.testing.assert_allclose(res.mean_val_mse, want, rtol=1e-10, atol=0)
     assert res.selected_lambda == selected
 
 
 def test_cv_fits_each_fold_from_its_moments_as_from_its_scaled_design():
-    # each fold scales its columns by its training rows, forms their Gram once,
-    # and fits the grid from it in descending order, warm-started down the path
+    # each fold's Gram, scales and validation error are bilinear forms of the
+    # block products; the row-based CV forms them from the scaled rows, and
+    # both fit the grid in descending order, warm-started down the path
     X, y = random_problem(61, M=150, P=6)
     grid = default_lambda_grid(scaled_moments(X, y)[0], 0.5, size=12, ratio=1e-3)
-    res = cross_validate_lambda(X, y, grid, 0.5, n_folds=4)
-    blocks = np.array_split(np.arange(len(y)), 4)
-    mse = np.empty((3, grid.size))
-    for f in range(1, 4):
-        n_train, val = blocks[f][0], blocks[f]
-        scale = _column_scales(X[:n_train])
-        warm = None
-        for g in range(grid.size):  # the grid is descending
-            fit = fit_elastic_net(Moments.of(X[:n_train] / scale, y[:n_train]),
-                                  PenaltySpec(grid[g], 0.5), warm_start=warm)
-            warm = fit.coef
-            err = y[val] - (X[val] / scale) @ fit.coef
-            mse[f - 1, g] = float(err @ err) / len(err)
-    np.testing.assert_array_equal(res.mean_val_mse, mse.mean(axis=0))
+    res = cross_validate_via_blocks(X, y, grid, 0.5, n_folds=4)
+    want = cross_validate_rows(X, y, grid, 0.5, n_folds=4)
+    np.testing.assert_allclose(res.mean_val_mse, want.mean_val_mse, rtol=1e-12, atol=0)
+    assert res.selected_lambda == want.selected_lambda
+    assert res.fold_boundaries == want.fold_boundaries
+
+
+def test_block_moments_are_the_row_products_of_each_block():
+    X, y = random_problem(62, M=103, P=4)
+    rows = np.vstack([X.T, y])
+    for n_folds in (2, 5, 103):
+        np.testing.assert_allclose(block_moments(rows, n_folds),
+                                   row_block_moments(X, y, n_folds), rtol=1e-13, atol=1e-13)
+    with pytest.raises(TooFewObservations, match="103 rows cannot form 104 folds"):
+        block_moments(rows, 104)
+
+
+def test_cv_entry_refuses_an_empty_block_before_reading_it(monkeypatch):
+    # a block with no rows has a zero product; no fold may train or validate on it
+    X, y = random_problem(63, M=7, P=2)
+    fits = []
+    monkeypatch.setattr(elastic_net, "fit_elastic_net", lambda *a, **k: fits.append(a))
+    for n_folds in (8, 12):
+        with pytest.raises(TooFewObservations, match=f"7 rows cannot form {n_folds} folds"):
+            cross_validate_via_blocks(X, y, np.array([0.1]), n_folds=n_folds)
+    blocks = row_block_moments(X, y, 3)
+    blocks[1] = 0.0
+    with pytest.raises(TooFewObservations):
+        cross_validate_lambda(blocks, np.eye(4, 2), np.eye(4)[2], np.array([0.1]))
+    assert fits == []
+
+
+@pytest.mark.parametrize("case", ["one-row training fold", "constant column in a fold"])
+def test_cv_entry_scales_a_column_without_spread_by_one(case):
+    # as _column_scales does: a training fold of one row, or a column constant
+    # over a fold's training rows, keeps its column in its own units
+    rng = np.random.default_rng(64)
+    if case == "one-row training fold":
+        M, n_folds = 6, 6
+    else:
+        M, n_folds = 160, 4
+    X = rng.standard_normal((M, 3)) + 0.3
+    if case == "constant column in a fold":
+        X[:45, 1] = 2.5  # the first block and five rows beyond it
+    y = X @ np.array([0.5, -1.0, 2.0]) + 0.3 * rng.standard_normal(M)
+    grid = np.array([0.5, 0.05, 0.005])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # few rows per feature: noisy
+        res = cross_validate_via_blocks(X, y, grid, 0.5, n_folds)
+        want = cross_validate_rows(X, y, grid, 0.5, n_folds)
+    np.testing.assert_allclose(res.mean_val_mse, want.mean_val_mse, rtol=1e-12, atol=0)
+    assert res.selected_lambda == want.selected_lambda
 
 
 def test_moments_entry_checks_its_inputs():

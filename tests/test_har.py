@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volnet import har
 from volnet.errors import HistoryTooShort, NonFiniteInput, RankDeficientDesign, SeriesTooShort
 from volnet.har import (
     HarCoefficients,
@@ -14,6 +15,7 @@ from volnet.har import (
     fit_har_panel,
     lag_means,
     own_ols,
+    panel_moments,
 )
 from volnet.hybrid import HybridModel
 from volnet.rv import RvPanel
@@ -34,9 +36,11 @@ def random_rv(n, seed):
 
 
 def fit_features(features, target):
-    """HAR OLS of `target` on rows x 3 lag features, solved by `own_ols`."""
-    coef, resid = own_ols(PanelMoments.of(np.vstack([features.T, target])), (None,))
-    return HarCoefficients(*map(float, coef[0])), resid[0]
+    """HAR OLS of `target` on rows x 3 lag features, solved by `own_ols`, and its
+    residuals: the centred target less the slopes times the centred features."""
+    pm = PanelMoments.of(np.vstack([features.T, target]))
+    coef = own_ols(pm, (None,))
+    return HarCoefficients(*map(float, coef[0])), pm.centred[3] - coef[0, 1:] @ pm.centred[:3]
 
 
 def test_constant_series_features():
@@ -268,3 +272,34 @@ def test_non_finite_features_or_targets_are_refused(field, bad):
     v[50] = bad
     with pytest.raises(NonFiniteInput):
         fit_har_ols(v)
+
+
+@pytest.mark.parametrize("K, N", [(1, 60), (3, 300), (6, 2500)])
+def test_panel_moments_writes_the_bits_of_lag_means_into_its_rows(monkeypatch, K, N):
+    values = 0.2 + 0.05 * np.abs(np.random.default_rng(K).standard_normal((N, K))).cumsum(axis=0)
+    seen = []
+    of = har.PanelMoments.of
+    monkeypatch.setattr(har.PanelMoments, "of", lambda Zt: seen.append(Zt.copy()) or of(Zt))
+    pm = panel_moments(values)
+    M = N - 22
+    assert seen[0][:3 * K].tobytes() == lag_means(values).reshape(M, 3 * K).T.tobytes()
+    assert seen[0][3 * K:].tobytes() == values[22:].T.tobytes()
+    Zc = seen[0] - seen[0].mean(axis=1)[:, None]  # centred in place, to the same bits
+    assert pm.centred.tobytes() == Zc.tobytes()
+
+
+def test_fit_har_ols_residuals_are_the_centred_target_less_the_centred_features():
+    # the expression the panel fit used before its residuals were dropped
+    for seed in range(5):
+        v = random_rv(400 + 50 * seed, seed)
+        fit, resid = fit_har_ols(v)
+        Z = np.vstack([lag_means(v).T, v[22:]])
+        Zc = Z - Z.mean(axis=1)[:, None]
+        beta = np.array([[fit.beta_d, fit.beta_w, fit.beta_m]])
+        want = (Zc[3:] - (beta[:, None, :] @ Zc[:3].reshape(1, 3, -1))[:, 0])[0]
+        assert resid.tobytes() == want.tobytes()
+
+
+def test_lag_means_refuses_an_output_of_another_shape():
+    with pytest.raises(ValueError, match="output of shape"):
+        lag_means(np.ones((40, 2)), out=np.empty((18, 3, 2)))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,14 +17,16 @@ from volnet.elastic_net import (
     kkt_violation,
     objective,
 )
+from volnet import hybrid
 from volnet.errors import (
     HistoryTooShort,
     InvalidConfig,
     NonFiniteInput,
     RankDeficientDesign,
     SeriesTooShort,
+    TooFewObservations,
 )
-from volnet.har import HarCoefficients, fit_har_panel, lag_means
+from volnet.har import HarCoefficients, fit_har_ols, fit_har_panel, lag_means
 from volnet.hybrid import (
     FEATURE_ORDER_TAG,
     FitConfig,
@@ -35,7 +38,8 @@ from volnet.hybrid import (
 )
 from volnet.rv import RvPanel
 
-from oracles import ols_lstsq, residual_covariance
+from conftest import planted_markets
+from oracles import cross_validate_rows, ols_lstsq, residual_covariance
 
 
 def small_model(cross: np.ndarray, assets=("A", "B"), lags=(1, 2, 3)) -> HybridModel:
@@ -337,3 +341,99 @@ def test_warns_per_asset_with_persistence_at_or_above_one(two_asset_panel, fit):
     with pytest.warns(UserWarning, match=r"HAR persistence \S+ >= 1 for B") as record:
         fit(with_values(two_asset_panel, values))
     assert [str(w.message) for w in record if " for A" in str(w.message)] == []
+
+
+def cv_fit_and_row_oracle(panel, cfg, monkeypatch):
+    """fit_hybrid's CV model; per asset, its CV result and the row-based CV's
+    on the same grid (design from lag_means, target the fit_har_ols
+    residual); and the model fitted at the row-based CV's penalties."""
+    seen = []
+    real = hybrid.cross_validate_lambda
+
+    def record(*args):
+        seen.append((args[3], real(*args)))  # (grid, result)
+        return seen[-1][1]
+
+    monkeypatch.setattr(hybrid, "cross_validate_lambda", record)
+    model = fit_hybrid(panel, cfg)
+    monkeypatch.undo()
+    feats = lag_means(panel.values, cfg.lags)
+    rows = []
+    for i, (grid, got) in enumerate(seen):
+        X = np.delete(feats, i, axis=1).reshape(len(feats), -1)
+        r = fit_har_ols(panel.values[:, i], cfg.lags)[1]
+        rows.append(cross_validate_rows(X, r, grid, cfg.alpha, cfg.cv_folds,
+                                        cfg.tol, cfg.max_iter))
+    oracle = fit_hybrid(panel, cfg, fixed_lambdas=[cv.selected_lambda for cv in rows])
+    return model, [cv for _, cv in seen], rows, oracle
+
+
+def assert_same_fit(model, oracle):
+    for field in ("selected_lambda", "cross", "residual_cov"):
+        assert getattr(model, field).tobytes() == getattr(oracle, field).tobytes(), field
+
+
+@pytest.mark.parametrize("K, cfg", [
+    (4, FitConfig(lambda_grid=(0.05, 0.01, 0.002), cv_folds=3)),
+    (6, FitConfig()),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cv_from_block_moments_fits_as_the_row_based_cv(monkeypatch, K, cfg, seed):
+    panel = planted_markets(2000, seed, K)
+    model, cvs, rows, oracle = cv_fit_and_row_oracle(panel, cfg, monkeypatch)
+    assert len(cvs) == K
+    for got, want in zip(cvs, rows):
+        np.testing.assert_allclose(got.mean_val_mse, want.mean_val_mse, rtol=1e-12, atol=0)
+        assert got.selected_lambda == want.selected_lambda
+        assert got.fold_boundaries == want.fold_boundaries
+    assert_same_fit(model, oracle)
+
+
+@pytest.mark.parametrize("case", ["one-row training fold", "constant column in a fold"])
+def test_cv_fit_scales_a_column_without_spread_by_one(two_asset_panel, monkeypatch, case):
+    # one training row has no spread; a column constant over a fold's training
+    # rows keeps a spread within rounding of zero in the centred basis, which
+    # must read as zero. The row-based CV gets exactly zero (so scale 1) from a
+    # constant whose mean is exact, such as 0.25.
+    if case == "one-row training fold":
+        panel = with_values(two_asset_panel, two_asset_panel.values[:30].copy())  # M = 8
+        # penalties large enough that a fold of two or three rows is well posed, so
+        # both CVs stop at the same point of the solver's KKT tolerance
+        cfg = FitConfig(lambda_grid=(0.2, 0.1, 0.05), cv_folds=8)
+    else:
+        values = two_asset_panel.values.copy()
+        values[:450, 1] = 0.25  # B's features and target are 0.25 on block 0 (396 rows)
+        panel = with_values(two_asset_panel, values)
+        cfg = FitConfig(lambda_grid=(0.05, 0.005, 0.0005), cv_folds=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # few rows per feature; persistence
+        model, cvs, rows, oracle = cv_fit_and_row_oracle(panel, cfg, monkeypatch)
+    for got, want in zip(cvs, rows):  # a wrong scale moves the MSE by orders of this
+        np.testing.assert_allclose(got.mean_val_mse, want.mean_val_mse, rtol=1e-10, atol=0)
+        assert got.selected_lambda == want.selected_lambda
+    assert_same_fit(model, oracle)
+
+
+def test_more_folds_than_rows_is_too_few_observations_before_cv(two_asset_panel, monkeypatch):
+    calls = []
+    monkeypatch.setattr(hybrid, "cross_validate_lambda", lambda *a: calls.append(a))
+    panel = with_values(two_asset_panel, two_asset_panel.values[:30].copy())  # M = 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eight rows fit B explosive
+        with pytest.raises(TooFewObservations, match="8 rows cannot form 9 folds"):
+            fit_hybrid(panel, FitConfig(cv_folds=9))
+    assert calls == []
+
+
+def test_a_cv_fit_holds_at_most_two_and_a_half_panel_arrays():
+    # CV reads block moments of the fit's one 4K x M array, not a design per asset
+    panel = planted_markets(2500, 3)
+    K, M = panel.n_assets, len(panel) - 22
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_hybrid(panel, FitConfig())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (4 * K * M * 8)
