@@ -24,7 +24,7 @@ from .evaluate import (
     rolling_forecast,
     split_train_test,
 )
-from .har import HarCoefficients, HarModelSet, fit_har_ols, fit_har_panel
+from .har import HarModelSet, fit_har_ols, fit_har_panel
 from .hybrid import (
     FitConfig,
     HybridModel,
@@ -56,7 +56,7 @@ __all__ = [
     "VolnetError",
     "ForecastReport", "build_forecast_report", "forecast_metrics",
     "rolling_forecast", "split_train_test",
-    "HarCoefficients", "HarModelSet", "fit_har_ols", "fit_har_panel",
+    "HarModelSet", "fit_har_ols", "fit_har_panel",
     "FitConfig", "HybridModel", "NetworkSummary", "fit_hybrid", "spillover_network",
     "OhlcBar", "OhlcPanel", "OhlcSeries", "align_panel", "load_ohlc_csv",
     "JirfPath", "ShockGroup", "joint_shock", "simulate_jirf",

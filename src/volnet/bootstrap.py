@@ -30,6 +30,8 @@ from .rv import RvPanel
 # replicates whose responses are traced in one batch_jirf call; a constant, so
 # memory does not grow with the replication count
 JIRF_BATCH = 16
+# a larger share of failed replicates aborts the run
+MAX_FAILURE_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class BootstrapConfig:
     ci_level: float = 0.95
     seed: int = 0
     n_jobs: int = 1
-    max_failure_rate: float = 0.05
 
     def __post_init__(self):
         if self.block_length < 1:
@@ -109,32 +110,29 @@ def _run_chunk(args) -> list[tuple[int, np.ndarray | str]]:
     return out
 
 
-def bootstrap_jirf(rv: RvPanel, fit_cfg: FitConfig, fixed_lambdas: Sequence[float],
-                   groups: Sequence[ShockGroup], cfg: BootstrapConfig,
-                   horizon: int = DEFAULT_HORIZON,
-                   condition_complement: bool = True,
-                   point_model: HybridModel | None = None) -> JirfBand:
-    """Percentile bands across replicates; the point path is the full-sample fit.
+def bootstrap_jirf(rv: RvPanel, model: HybridModel, groups: Sequence[ShockGroup],
+                   cfg: BootstrapConfig, horizon: int = DEFAULT_HORIZON,
+                   condition_complement: bool = True) -> JirfBand:
+    """Percentile bands of `model`'s responses across block-bootstrap replicates
+    of `rv`, the panel it was fitted on.
 
-    Replicates that fail to fit or to trace (e.g. an explosive resample) are
-    skipped and counted; more than cfg.max_failure_rate of them aborts the run
-    with the count per error code. A given point_model must hold the panel's
-    assets in the panel's order, since its per-asset penalties and responses
-    are paired with the panel's columns.
+    The point path is the model's own response. Each replicate refits the
+    model's alpha and lags at its per-asset penalties, so the model must hold
+    the panel's assets in the panel's order. Replicates that fail to fit or to
+    trace (e.g. an explosive resample) are skipped and counted; more than
+    MAX_FAILURE_RATE of them aborts the run with the count per error code.
     """
     groups = list(groups)
-    if point_model is None:
-        point_model = fit_hybrid(rv, fit_cfg, fixed_lambdas=fixed_lambdas)
-    elif point_model.assets != rv.assets:
-        raise InvalidConfig(f"model assets {list(point_model.assets)} differ from the "
+    if model.assets != rv.assets:
+        raise InvalidConfig(f"model assets {list(model.assets)} differ from the "
                             f"panel's {list(rv.assets)}")
-    point = jirf_for_groups(point_model, groups, horizon, condition_complement)
+    point = jirf_for_groups(model, groups, horizon, condition_complement)
 
     R = cfg.replications
     results: list[np.ndarray | str | None] = [None] * R
-    payload_static = (rv, fit_cfg, tuple(float(l) for l in fixed_lambdas),
-                      tuple(groups), horizon, condition_complement,
-                      cfg.seed, cfg.block_length)
+    fit_cfg = FitConfig(alpha=model.alpha, lags=model.lags)
+    payload_static = (rv, fit_cfg, model.selected_lambda, tuple(groups), horizon,
+                      condition_complement, cfg.seed, cfg.block_length)
     if cfg.n_jobs > 1 and R > 1:
         chunks = [c for c in np.array_split(np.arange(R), cfg.n_jobs * 4) if len(c)]
         with ProcessPoolExecutor(max_workers=cfg.n_jobs) as pool:
@@ -148,7 +146,7 @@ def bootstrap_jirf(rv: RvPanel, fit_cfg: FitConfig, fixed_lambdas: Sequence[floa
 
     good = [resp for resp in results if not isinstance(resp, str)]
     n_failed = R - len(good)
-    if n_failed / R > cfg.max_failure_rate:
+    if n_failed / R > MAX_FAILURE_RATE:
         raise TooManyReplicateFailures(
             n_failed, R, Counter(resp for resp in results if isinstance(resp, str)))
 

@@ -36,7 +36,6 @@ from .errors import InvalidConfig, VolnetError, WindowTooSmall
 from .har import fit_har_panel
 from .hybrid import (
     HORIZON_LABELS,
-    FitConfig,
     fit_hybrid,
     model_from_dict,
     model_to_dict,
@@ -92,10 +91,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_text(comments: list[str], header: str, rows: list[str]) -> str:
-    return "\n".join([f"# {c}" for c in comments] + [header] + rows) + "\n"
-
-
 def _load_model(path: str):
     with open(path) as fh:
         return model_from_dict(json.load(fh))
@@ -121,14 +116,6 @@ def _load_groups(path: str, assets: Sequence[str]) -> list[jirf.ShockGroup]:
 
 def _run_config(args) -> RunConfig:
     return load_config(args.config) if getattr(args, "config", None) else RunConfig()
-
-
-def _fit_settings(fit: FitConfig) -> dict:
-    """The settings a fit's output depends on, as recorded in the config hash."""
-    return {"alpha": fit.alpha, "lags": list(fit.lags),
-            "lambda_grid": list(fit.lambda_grid) if fit.lambda_grid else None,
-            "grid_size": fit.grid_size, "grid_ratio": fit.grid_ratio,
-            "cv_folds": fit.cv_folds}
 
 
 def _n_jobs() -> int:
@@ -178,7 +165,7 @@ def _jirf_csv(model, groups: Sequence[jirf.ShockGroup], horizon: int,
             for g, responses in zip(groups, paths)
             for hzn, row in enumerate(responses)
             for asset, v in zip(model.assets, row)]
-    return _csv_text(comments, "group,asset,horizon,response", rows)
+    return rv.csv_text(comments, "group,asset,horizon,response", rows)
 
 
 # --- subcommands ---
@@ -217,7 +204,7 @@ def cmd_fit(args) -> int:
     cfg = _run_config(args)
     panel = rv.read_rv_csv(args.rv)
     model = fit_hybrid(panel, cfg.fit)
-    h = config_hash({"cmd": "fit", **_fit_settings(cfg.fit), "assets": list(panel.assets)})
+    h = config_hash({"cmd": "fit", **dataclasses.asdict(cfg.fit), "assets": list(panel.assets)})
     payload = model_to_dict(model)
     payload["config_hash"] = h
     _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -240,9 +227,9 @@ def cmd_forecast(args) -> int:
             rows.append(f"{label},{asset},{_fmt(m.rmse)},{_fmt(m.mae)},{_fmt(m.mape)}")
         rows.append(f"{label},AVERAGE,{_fmt(report.avg_rmse)},{_fmt(report.avg_mae)},"
                     f"{_fmt(report.avg_mape)}")
-    h = config_hash({"cmd": "forecast", "split": args.split, **_fit_settings(cfg.fit),
+    h = config_hash({"cmd": "forecast", "split": args.split, **dataclasses.asdict(cfg.fit),
                      "assets": list(panel.assets)})
-    _atomic_write(args.out, _csv_text([f"config={h}"], "model,asset,rmse,mae,mape", rows))
+    _atomic_write(args.out, rv.csv_text([f"config={h}"], "model,asset,rmse,mae,mape", rows))
     return 0
 
 
@@ -251,8 +238,8 @@ def cmd_network(args) -> int:
     net = spillover_network(model)
     h = config_hash({"cmd": "network", "assets": list(model.assets)})
     rows = [f"{e.source},{e.target},{e.horizon},{_fmt(e.coefficient)}" for e in net.edges]
-    _atomic_write(args.out, _csv_text([f"config={h}", f"sparsity={_fmt(net.sparsity)}"],
-                                      "source,target,horizon,coefficient", rows))
+    _atomic_write(args.out, rv.csv_text([f"config={h}", f"sparsity={_fmt(net.sparsity)}"],
+                                        "source,target,horizon,coefficient", rows))
     return 0
 
 
@@ -284,11 +271,8 @@ def cmd_bootstrap(args) -> int:
     panel = rv.read_rv_csv(args.rv)
     model = _load_model(args.model)
     groups = _load_groups(args.groups, model.assets)
-    fit_cfg = FitConfig(alpha=model.alpha, lags=model.lags)
-    band = boot.bootstrap_jirf(panel, fit_cfg, model.selected_lambda, groups, bcfg,
-                               horizon=args.horizon,
-                               condition_complement=cfg.condition_complement,
-                               point_model=model)
+    band = boot.bootstrap_jirf(panel, model, groups, bcfg, horizon=args.horizon,
+                               condition_complement=cfg.condition_complement)
     h = config_hash({"cmd": "bootstrap", "block": bcfg.block_length, "reps": bcfg.replications,
                      "ci": bcfg.ci_level, "seed": bcfg.seed, "horizon": args.horizon,
                      "condition_complement": cfg.condition_complement,
@@ -301,7 +285,7 @@ def cmd_bootstrap(args) -> int:
                 rows.append(f"{gname},{asset},{hzn},{_fmt(band.point[gi, hzn, k])},"
                             f"{_fmt(band.lower[gi, hzn, k])},{_fmt(band.upper[gi, hzn, k])}")
     comments = [f"config={h}", f"replicates={band.n_effective}", f"failed={band.n_failed}"]
-    _atomic_write(args.out, _csv_text(comments, BAND_HEADER, rows))
+    _atomic_write(args.out, rv.csv_text(comments, BAND_HEADER, rows))
     return 0
 
 
@@ -315,9 +299,9 @@ def cmd_diagnose(args) -> int:
         rows.append(f"{asset},{_fmt(adf.statistic)},{_fmt(adf.p_value)},{adf.lags},"
                     f"{_fmt(kp.statistic)},{_fmt(kp.p_value)}")
     h = config_hash({"cmd": "diagnose", "assets": list(panel.assets)})
-    _atomic_write(args.out, _csv_text([f"config={h}"],
-                                      "asset,adf_stat,adf_p,adf_lags,kpss_stat,kpss_p",
-                                      rows))
+    _atomic_write(args.out, rv.csv_text([f"config={h}"],
+                                        "asset,adf_stat,adf_p,adf_lags,kpss_stat,kpss_p",
+                                        rows))
     return 0
 
 
@@ -358,7 +342,7 @@ def cmd_report(args) -> int:
                  for j, source in enumerate(model.assets)
                  for hz, label in enumerate(HORIZON_LABELS)]
     _atomic_write(out_dir / "coefficient_matrix.csv",
-                  _csv_text([f"config={h}"], "target,source,horizon,coefficient", coef_rows))
+                  rv.csv_text([f"config={h}"], "target,source,horizon,coefficient", coef_rows))
 
     figures = {"rv_series": "rv_series.csv", "coefficient_matrix": "coefficient_matrix.csv"}
     if args.bands:
@@ -376,7 +360,7 @@ def cmd_report(args) -> int:
         "sample_start": model.sample_start.isoformat() if model.sample_start else None,
         "sample_end": model.sample_end.isoformat() if model.sample_end else None,
         "n_obs": model.n_obs,
-        "persistence": {a: c.persistence for a, c in zip(model.assets, model.own)},
+        "persistence": dict(zip(model.assets, model.persistence.tolist())),
         "selected_lambda": {a: float(l) for a, l in
                             zip(model.assets, model.selected_lambda)},
         "sparsity": net.sparsity,

@@ -103,16 +103,20 @@ class Moments:
 
 
 def _column_scales(X: np.ndarray) -> np.ndarray:
-    """Sample standard deviation of each column; 1 where it is 0 or not finite.
+    """Sample standard deviation of each column; 1 where it is within rounding
+    of 0 (a constant column, whose mean need not round exactly), not finite,
+    or there is one row, as `_fold_scales` gives.
 
     Each column is reduced along its own contiguous copy, so its scale has
     the same bits whichever other columns share the array.
     """
-    if X.shape[0] > 1:
-        s = np.std(np.ascontiguousarray(X.T), axis=1, ddof=1)
-    else:
-        s = np.zeros(X.shape[1])
-    return np.where(np.isfinite(s) & (s > 0), s, 1.0)
+    n = X.shape[0]
+    if n < 2:
+        return np.ones(X.shape[1])
+    Xt = np.ascontiguousarray(X.T)
+    s = np.std(Xt, axis=1, ddof=1)
+    sq = np.einsum("ij,ij->i", Xt, Xt)
+    return np.where(np.isfinite(s) & (s * s * (n - 1) > n * np.finfo(float).eps * sq), s, 1.0)
 
 
 def fit_elastic_net(stats: Moments, pen: PenaltySpec, tol: float = DEFAULT_TOL,

@@ -26,21 +26,8 @@ from .errors import HistoryTooShort, NonFiniteInput, RankDeficientDesign, Series
 from .rv import RvPanel
 
 DEFAULT_LAGS = (1, 5, 22)
-
-
-@dataclass(frozen=True)
-class HarCoefficients:
-    intercept: float
-    beta_d: float
-    beta_w: float
-    beta_m: float
-
-    @property
-    def persistence(self) -> float:
-        return self.beta_d + self.beta_w + self.beta_m
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.intercept, self.beta_d, self.beta_w, self.beta_m])
+# the columns of a K x 4 own-coefficient array, as model and spec files name them
+OWN_KEYS = ("intercept", "beta_d", "beta_w", "beta_m")
 
 
 def lag_means(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS,
@@ -82,8 +69,9 @@ def lag_means(values: np.ndarray, lags: Sequence[int] = DEFAULT_LAGS,
 
 
 def fit_har_ols(values: np.ndarray,
-                lags: Sequence[int] = DEFAULT_LAGS) -> tuple[HarCoefficients, np.ndarray]:
-    """Least-squares HAR fit of one series: coefficients and residuals.
+                lags: Sequence[int] = DEFAULT_LAGS) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares HAR fit of one series: the coefficient row (intercept,
+    daily, weekly, monthly) and the residuals.
 
     The one-asset case of `own_ols`, so a series fitted alone gets the same
     bits as its column of a panel fit (`fit_har_panel`, `fit_hybrid`). A
@@ -95,7 +83,7 @@ def fit_har_ols(values: np.ndarray,
     coef = own_ols(pm, (None,))
     F, y = pm.centred[:3].reshape(1, 3, pm.n_rows), pm.centred[3:]
     resid = y - (coef[:, None, 1:] @ F)[:, 0]
-    return HarCoefficients(*map(float, coef[0])), resid[0]
+    return coef[0], resid[0]
 
 
 @dataclass(frozen=True)
@@ -214,17 +202,28 @@ def residual_map(beta: np.ndarray) -> np.ndarray:
 
 class HarStep:
     """One HAR-X step, intercepts + W @ the last max(lags) rows, for models with
-    `assets`, `own` (HarCoefficients per asset), `lags` and, for the spillover
-    model, a K x K x 3 `cross` block; the univariate benchmark's block is zero.
+    `assets`, `own` (K x 4: each asset's intercept, daily, weekly and monthly
+    coefficients), `lags` and, for the spillover model, a K x K x 3 `cross`
+    block; the univariate benchmark's block is zero.
     """
+
+    def __post_init__(self):
+        shape, want = np.shape(self.own), (self.n_assets, 4)
+        if shape != want:
+            raise ValueError(f"own has shape {shape}, expected {want}")
 
     @property
     def n_assets(self) -> int:
         return len(self.assets)
 
-    @cached_property
+    @property
     def intercepts(self) -> np.ndarray:
-        return np.array([c.intercept for c in self.own])
+        return self.own[:, 0]
+
+    @property
+    def persistence(self) -> np.ndarray:
+        """Each asset's own persistence, the sum of its three slopes."""
+        return self.own[:, 1] + self.own[:, 2] + self.own[:, 3]
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -238,8 +237,8 @@ class HarStep:
         K = self.n_assets
         m = max(self.lags)
         coef = np.array(getattr(self, "cross", np.zeros((K, K, 3))), dtype=float)
-        for i, c in enumerate(self.own):
-            coef[i, i] += (c.beta_d, c.beta_w, c.beta_m)
+        k = np.arange(K)
+        coef[k, k] += self.own[:, 1:]
         W = np.zeros((K, m, K))
         for h, lag in enumerate(self.lags):
             W[:, m - lag:, :] += (coef[:, :, h] / lag)[:, None, :]
@@ -269,12 +268,11 @@ class HarModelSet(HarStep):
     """Independent per-asset HAR fits; the no-spillover benchmark model."""
 
     assets: tuple[str, ...]
-    own: tuple[HarCoefficients, ...]
+    own: np.ndarray  # K x 4
     lags: tuple[int, int, int] = DEFAULT_LAGS
 
 
 def fit_har_panel(panel: RvPanel, lags: Sequence[int] = DEFAULT_LAGS) -> HarModelSet:
     """Every asset's HAR by `own_ols`, the own step of the hybrid estimator."""
     coef = own_ols(panel_moments(panel.values, lags), panel.assets)
-    own = tuple(HarCoefficients(*map(float, row)) for row in coef)
-    return HarModelSet(panel.assets, own, tuple(lags))
+    return HarModelSet(panel.assets, coef, tuple(lags))

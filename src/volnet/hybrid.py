@@ -23,8 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .elastic_net import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     Moments,
     PenaltySpec,
     block_moments,
@@ -33,7 +31,7 @@ from .elastic_net import (
     fit_elastic_net,
 )
 from .errors import InvalidConfig
-from .har import DEFAULT_LAGS, HarCoefficients, HarStep, own_ols, panel_moments, residual_map
+from .har import DEFAULT_LAGS, OWN_KEYS, HarStep, own_ols, panel_moments, residual_map
 from .rv import RvPanel, is_csv_name
 
 MODEL_SCHEMA = "volnet-model-v1"
@@ -49,8 +47,6 @@ class FitConfig:
     grid_ratio: float = 1e-4
     cv_folds: int = 5
     lags: tuple[int, int, int] = DEFAULT_LAGS
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -69,9 +65,9 @@ class FitConfig:
 @dataclass(frozen=True)
 class HybridModel(HarStep):
     assets: tuple[str, ...]
-    own: tuple[HarCoefficients, ...]
+    own: np.ndarray             # K x 4, (intercept, daily, weekly, monthly)
     cross: np.ndarray           # K x K x 3, [target, source, horizon]; zero diagonal
-    selected_lambda: np.ndarray
+    selected_lambda: np.ndarray  # K
     residual_cov: np.ndarray    # K x K, sample covariance of final residuals
     lags: tuple[int, int, int] = DEFAULT_LAGS
     alpha: float = 0.5
@@ -80,9 +76,13 @@ class HybridModel(HarStep):
     n_obs: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         K = self.n_assets
-        if self.cross.shape != (K, K, 3):
-            raise ValueError(f"cross has shape {self.cross.shape}, expected {(K, K, 3)}")
+        for name, want in (("cross", (K, K, 3)), ("selected_lambda", (K,)),
+                           ("residual_cov", (K, K))):
+            shape = np.shape(getattr(self, name))
+            if shape != want:
+                raise ValueError(f"{name} has shape {shape}, expected {want}")
         if np.diagonal(self.cross).any():
             raise ValueError("cross has nonzero self entries")
 
@@ -143,12 +143,10 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
             design[kc, np.arange(P - 3)] = 1.0
             design[-1] = mu[kc]
             target = np.append(B[:, i], 0.0)  # before the cross coefficients join column i
-            cv = cross_validate_lambda(blocks, design, target, grid, cfg.alpha,
-                                       cfg.tol, cfg.max_iter)
+            cv = cross_validate_lambda(blocks, design, target, grid, cfg.alpha)
             lam = cv.selected_lambda
         lambdas[i] = lam
-        fit = fit_elastic_net(stats, PenaltySpec(lam, cfg.alpha),
-                              tol=cfg.tol, max_iter=cfg.max_iter)
+        fit = fit_elastic_net(stats, PenaltySpec(lam, cfg.alpha))
         c = fit.coef / scale[kc]
         cross[i, k != i] = c.reshape(K - 1, 3)
         B[kc, i] = -c
@@ -156,9 +154,7 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     cov = (B.T @ S @ B) / (M - 1)
     cov = 0.5 * (cov + cov.T)
     return HybridModel(
-        assets=rv.assets,
-        own=tuple(HarCoefficients(*map(float, row)) for row in coef),
-        cross=cross, selected_lambda=lambdas,
+        assets=rv.assets, own=coef, cross=cross, selected_lambda=lambdas,
         residual_cov=cov, lags=tuple(cfg.lags), alpha=cfg.alpha,
         sample_start=rv.dates[0], sample_end=rv.dates[-1], n_obs=M,
     )
@@ -214,8 +210,7 @@ def model_to_dict(model: HybridModel) -> dict:
         "assets": list(model.assets),
         "lags": list(model.lags),
         "alpha": model.alpha,
-        "own": [{"intercept": c.intercept, "beta_d": c.beta_d,
-                 "beta_w": c.beta_w, "beta_m": c.beta_m} for c in model.own],
+        "own": [dict(zip(OWN_KEYS, row)) for row in model.own.tolist()],
         "cross": model.cross.tolist(),
         "selected_lambda": model.selected_lambda.tolist(),
         "residual_cov": model.residual_cov.tolist(),
@@ -276,8 +271,7 @@ def model_from_dict(d: dict) -> HybridModel:
     _check(type(n_obs) is int and n_obs >= 0, "n_obs", "an integer >= 0", n_obs)
     _check(isinstance(own, list) and len(own) == K and all(isinstance(o, dict) for o in own),
            "own", f"one coefficient object per asset ({K})", own)
-    own = _finite_array([[o.get(k) for k in ("intercept", "beta_d", "beta_w", "beta_m")]
-                         for o in own], "own", (K, 4))
+    own = _finite_array([[o.get(k) for k in OWN_KEYS] for o in own], "own", (K, 4))
     cross = _finite_array(d["cross"], "cross", (K, K, 3))
     lambdas = _finite_array(d["selected_lambda"], "selected_lambda", (K,))
     _check(np.all(lambdas >= 0.0), "selected_lambda", "penalties >= 0", d["selected_lambda"])
@@ -288,10 +282,9 @@ def model_from_dict(d: dict) -> HybridModel:
         start, end = (dt.date.fromisoformat(d[k]) if d[k] else None
                       for k in ("sample_start", "sample_end"))
         return HybridModel(
-            assets=tuple(assets),
-            own=tuple(HarCoefficients(*map(float, row)) for row in own),
-            cross=cross, selected_lambda=lambdas, residual_cov=cov, lags=tuple(lags),
-            alpha=float(alpha), sample_start=start, sample_end=end, n_obs=n_obs,
+            assets=tuple(assets), own=own, cross=cross, selected_lambda=lambdas,
+            residual_cov=cov, lags=tuple(lags), alpha=float(alpha),
+            sample_start=start, sample_end=end, n_obs=n_obs,
         )
     except (TypeError, ValueError) as exc:  # a nonzero self entry in cross, a bad date
         raise InvalidConfig(f"model {exc}") from None

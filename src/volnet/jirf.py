@@ -158,7 +158,7 @@ def _trace(models: Sequence[HybridModel], shocks: np.ndarray, refused: np.ndarra
     paths = np.ascontiguousarray(path[:, :, m:])
     bad = ~np.isfinite(paths).all(axis=3)  # R x G x (H+1)
     first_bad = np.where(bad.any(axis=2), bad.argmax(axis=2), -1)
-    persistence = [max(c.persistence for c in model.own) for model in models]
+    persistence = [float(model.persistence.max()) for model in models]
     errors = [_first_error(*case) for case in zip(refused.tolist(), persistence,
                                                     first_bad.tolist())]
     return paths, errors

@@ -119,14 +119,18 @@ def is_csv_name(name) -> bool:
     return isinstance(name, str) and name.strip() != "" and not any(c in name for c in ',"\r\n')
 
 
+def csv_text(comments: Sequence[str], header: str, rows: Sequence[str]) -> str:
+    """A CSV table as every volnet output holds one: each comment as a `# `
+    line, the header, then the rows."""
+    return "\n".join([f"# {c}" for c in comments] + [header, *rows]) + "\n"
+
+
 def rv_csv_text(panel: RvPanel, comments: Sequence[str] = ()) -> str:
-    """The panel as the CSV read_rv_csv reads: each comment as a `# ` line,
-    the header, then one row per date with values in round-trip repr."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("date," + ",".join(panel.assets))
-    lines += [d.isoformat() + "," + ",".join(map(repr, row))
-              for d, row in zip(panel.dates, panel.values.tolist())]
-    return "\n".join(lines) + "\n"
+    """The panel as the CSV read_rv_csv reads, one row per date with values in
+    round-trip repr."""
+    return csv_text(comments, "date," + ",".join(panel.assets),
+                    [d.isoformat() + "," + ",".join(map(repr, row))
+                     for d, row in zip(panel.dates, panel.values.tolist())])
 
 
 def _is_row(line: str) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import _check_keys, _int, _list, _number
 from .errors import ExplosiveSpec, InvalidConfig
-from .har import DEFAULT_LAGS, HarCoefficients
+from .har import DEFAULT_LAGS, OWN_KEYS
 from .hybrid import HORIZON_LABELS, HybridModel
 from .rv import RvPanel, is_csv_name
 
@@ -26,7 +26,6 @@ DEFAULT_FLOOR = 1e-6
 _START_DATE = dt.date(2010, 1, 4)
 _SPEC_REQUIRED = ("assets", "length", "own", "innovation_cov")
 _SPEC_OPTIONAL = ("cross", "seed", "burn_in", "floor")
-_OWN_KEYS = ("intercept", "beta_d", "beta_w", "beta_m")
 _EDGE_KEYS = ("source", "target", "horizon", "value")
 
 
@@ -49,7 +48,7 @@ class PlantedEdge:
 class SyntheticSpec:
     assets: tuple[str, ...]
     length: int
-    own: tuple[HarCoefficients, ...]
+    own: np.ndarray  # K x 4, (intercept, daily, weekly, monthly) per asset
     innovation_cov: np.ndarray
     cross: tuple[PlantedEdge, ...] = ()
     seed: int = 0
@@ -62,7 +61,7 @@ class SyntheticSpec:
             raise ValueError(f"assets must be distinct and non-empty, got {self.assets}")
         if self.length < 1 or self.burn_in < 0 or self.seed < 0 or not self.floor > 0:
             raise ValueError("length must be >= 1, burn_in and seed >= 0 and floor > 0")
-        if len(self.own) != K:
+        if np.shape(self.own) != (K, 4):
             raise ValueError("need one own-coefficient set per asset")
         for e in self.cross:
             if e.source not in self.assets or e.target not in self.assets:
@@ -97,10 +96,10 @@ def generate_synthetic_panel(spec: SyntheticSpec) -> RvPanel:
     exactly, since a unit root's eigenvalue may round below 1) or when cross
     edges make the joint system explosive."""
     K = len(spec.assets)
-    for a, c in zip(spec.assets, spec.own):
-        if c.persistence >= 1.0:
-            raise ExplosiveSpec(f"{a}: persistence {c.persistence:.4f} >= 1")
     model = true_hybrid_model(spec)
+    for a, phi in zip(spec.assets, model.persistence.tolist()):
+        if phi >= 1.0:
+            raise ExplosiveSpec(f"{a}: persistence {phi:.4f} >= 1")
     rho = spectral_radius(model)
     if rho >= 1.0:
         raise ExplosiveSpec(f"spectral radius {rho:.4f} >= 1: the joint own and cross "
@@ -113,7 +112,7 @@ def generate_synthetic_panel(spec: SyntheticSpec) -> RvPanel:
     eps = rng.standard_normal((total, K)) @ B.T
 
     values = np.empty((m + total, K))
-    base = model.intercepts / (1.0 - np.array([c.persistence for c in spec.own]))
+    base = model.intercepts / (1.0 - model.persistence)
     values[:m] = np.maximum(base, spec.floor)
     for t in range(m, m + total):
         values[t] = np.maximum(model.intercepts + model.W @ values[t - m:t].ravel()
@@ -135,7 +134,7 @@ def true_hybrid_model(spec: SyntheticSpec) -> HybridModel:
     for e in spec.cross:
         cross[idx[e.target], idx[e.source], HORIZON_LABELS.index(e.horizon)] = e.value
     return HybridModel(
-        assets=spec.assets, own=spec.own, cross=cross,
+        assets=spec.assets, own=np.asarray(spec.own, dtype=float), cross=cross,
         selected_lambda=np.zeros(len(spec.assets)),
         residual_cov=np.asarray(spec.innovation_cov, dtype=float),
         lags=DEFAULT_LAGS, alpha=0.5,
@@ -146,8 +145,7 @@ def spec_to_dict(spec: SyntheticSpec) -> dict:
     return {
         "assets": list(spec.assets),
         "length": spec.length,
-        "own": [{"intercept": c.intercept, "beta_d": c.beta_d,
-                 "beta_w": c.beta_w, "beta_m": c.beta_m} for c in spec.own],
+        "own": [dict(zip(OWN_KEYS, row)) for row in np.asarray(spec.own).tolist()],
         "cross": [{"source": e.source, "target": e.target,
                    "horizon": e.horizon, "value": e.value} for e in spec.cross],
         "innovation_cov": np.asarray(spec.innovation_cov).tolist(),
@@ -177,7 +175,7 @@ def spec_from_dict(d: dict) -> SyntheticSpec:
     if not all(map(is_csv_name, assets)):
         raise InvalidConfig(f'assets must be non-blank names without , " or line breaks, '
                             f"got {assets!r}")
-    own = [_record(o, _OWN_KEYS, "own") for o in _list(d["own"], "own")]
+    own = [_record(o, OWN_KEYS, "own") for o in _list(d["own"], "own")]
     edges = [_record(e, _EDGE_KEYS, "cross") for e in _list(d.get("cross", []), "cross")]
     cov = [[_number(v, "innovation_cov") for v in _list(row, "innovation_cov")]
            for row in _list(d["innovation_cov"], "innovation_cov")]
@@ -185,8 +183,7 @@ def spec_from_dict(d: dict) -> SyntheticSpec:
         return SyntheticSpec(
             assets=tuple(assets),
             length=_int(d["length"], "length"),
-            own=tuple(HarCoefficients(*(_number(o[k], f"own.{k}") for k in _OWN_KEYS))
-                      for o in own),
+            own=np.array([[_number(o[k], f"own.{k}") for k in OWN_KEYS] for o in own]),
             innovation_cov=np.array(cov, dtype=float),
             cross=tuple(PlantedEdge(e["source"], e["target"], e["horizon"],
                                     _number(e["value"], "cross.value")) for e in edges),

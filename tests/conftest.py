@@ -3,7 +3,6 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from volnet.har import HarCoefficients
 from volnet.ingest import OhlcSeries
 from volnet.rv import RvPanel
 from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
@@ -24,9 +23,9 @@ def planted_markets(n_days: int, seed: int, n_assets: int = 6) -> RvPanel:
     """A paper-like panel on the first `n_assets` of six futures markets: ES/NQ
     transmit to CL, ES to ZN, and ZC/ZW are isolated from the rest."""
     assets = ("ES", "NQ", "CL", "ZN", "ZC", "ZW")[:n_assets]
-    own = (HarCoefficients(0.016, 0.35, 0.35, 0.20), HarCoefficients(0.020, 0.33, 0.37, 0.20),
-           HarCoefficients(0.030, 0.20, 0.10, 0.05), HarCoefficients(0.004, 0.30, 0.35, 0.25),
-           HarCoefficients(0.022, 0.32, 0.33, 0.25), HarCoefficients(0.028, 0.30, 0.35, 0.25))
+    own = np.array([[0.016, 0.35, 0.35, 0.20], [0.020, 0.33, 0.37, 0.20],
+                    [0.030, 0.20, 0.10, 0.05], [0.004, 0.30, 0.35, 0.25],
+                    [0.022, 0.32, 0.33, 0.25], [0.028, 0.30, 0.35, 0.25]])
     sd = np.array([0.025, 0.030, 0.020, 0.008, 0.035, 0.040])
     corr = np.eye(6)
     for a, b, r in ((0, 1, 0.85), (0, 2, 0.2), (1, 2, 0.2), (0, 3, 0.2), (1, 3, 0.2),
@@ -47,8 +46,8 @@ def two_asset_panel() -> RvPanel:
     spec = SyntheticSpec(
         assets=("A", "B"),
         length=2000,
-        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
-             HarCoefficients(0.015, 0.35, 0.30, 0.25)),
+        own=np.array([[0.010, 0.40, 0.30, 0.20],
+                      [0.015, 0.35, 0.30, 0.25]]),
         innovation_cov=np.array([[4e-4, 1e-4], [1e-4, 4e-4]]),
         cross=(PlantedEdge("B", "A", "daily", 0.35),),
         seed=11,
@@ -62,9 +61,9 @@ def zero_cross_panel() -> RvPanel:
     spec = SyntheticSpec(
         assets=("A", "B", "C"),
         length=1200,
-        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
-             HarCoefficients(0.020, 0.35, 0.30, 0.25),
-             HarCoefficients(0.012, 0.30, 0.35, 0.25)),
+        own=np.array([[0.010, 0.40, 0.30, 0.20],
+                      [0.020, 0.35, 0.30, 0.25],
+                      [0.012, 0.30, 0.35, 0.25]]),
         innovation_cov=np.diag([4e-4, 6e-4, 3e-4]),
         seed=29,
     )

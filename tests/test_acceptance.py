@@ -20,7 +20,7 @@ from volnet.bootstrap import BootstrapConfig, block_resample, bootstrap_jirf
 from volnet.cli import main as cli_main
 from volnet.elastic_net import Moments, PenaltySpec, fit_elastic_net, kkt_violation
 from volnet.evaluate import forecast_metrics, rolling_forecast, split_train_test
-from volnet.har import HarCoefficients, PanelMoments, fit_har_panel, lag_means, own_ols
+from volnet.har import PanelMoments, fit_har_panel, lag_means, own_ols
 from volnet.hybrid import FitConfig, fit_hybrid, spillover_network
 from volnet.ingest import OhlcSeries
 from volnet.jirf import ShockGroup, jirf_for_group, joint_shock, simulate_jirf
@@ -130,8 +130,8 @@ def test_sparse_network_recovery():
         PlantedEdge("B", "E", "daily", 0.27), PlantedEdge("A", "E", "daily", -0.25),
         PlantedEdge("A", "F", "daily", 0.27),
     )
-    own = tuple(HarCoefficients(c0, 0.45, 0.32, 0.20)
-                for c0 in (0.006, 0.006, 0.0065, 0.0065, 0.0065, 0.0065))
+    own = np.array([[c0, 0.45, 0.32, 0.20]
+                    for c0 in (0.006, 0.006, 0.0065, 0.0065, 0.0065, 0.0065)])
     cov = np.diag([1e-4, 1e-4, 4e-4, 4e-4, 4e-4, 4e-4])
     cov[0, 1] = cov[1, 0] = 0.5e-4
     spec = SyntheticSpec(assets=assets, length=5000, own=own, cross=planted,
@@ -139,7 +139,7 @@ def test_sparse_network_recovery():
 
     t0 = time.perf_counter()
     panel = generate_synthetic_panel(spec)
-    model = fit_hybrid(panel, FitConfig(grid_ratio=1e-2, tol=1e-6, cv_folds=10))
+    model = fit_hybrid(panel, FitConfig(grid_ratio=1e-2, cv_folds=10))
     elapsed = time.perf_counter() - t0
 
     fitted = {(e.source, e.target, e.horizon): e.coefficient
@@ -148,7 +148,7 @@ def test_sparse_network_recovery():
     missed = [k for k, v in wanted.items()
               if k not in fitted or np.sign(fitted[k]) != np.sign(v)]
     strays = [k for k in fitted if k not in wanted]
-    phi_dev = max(abs(c.persistence - 0.97) for c in model.own)
+    phi_dev = float(np.max(np.abs(model.persistence - 0.97)))
 
     ok = (not missed and len(strays) <= 10 and phi_dev <= 0.03 and elapsed < 30.0)
     assert record(
@@ -161,9 +161,9 @@ def test_forecast_parity_without_cross_effects():
     spec = SyntheticSpec(
         assets=("A", "B", "C"),
         length=2000,
-        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
-             HarCoefficients(0.020, 0.35, 0.30, 0.25),
-             HarCoefficients(0.012, 0.30, 0.35, 0.25)),
+        own=np.array([[0.010, 0.40, 0.30, 0.20],
+                      [0.020, 0.35, 0.30, 0.25],
+                      [0.012, 0.30, 0.35, 0.25]]),
         innovation_cov=np.diag([4e-4, 6e-4, 3e-4]),
         seed=31,
     )
@@ -192,9 +192,9 @@ def test_jirf_linearity_and_decoupling():
     spec = SyntheticSpec(
         assets=("X", "Y", "Z"),
         length=100,
-        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
-             HarCoefficients(0.020, 0.35, 0.30, 0.25),
-             HarCoefficients(0.015, 0.30, 0.35, 0.25)),
+        own=np.array([[0.010, 0.40, 0.30, 0.20],
+                      [0.020, 0.35, 0.30, 0.25],
+                      [0.015, 0.30, 0.35, 0.25]]),
         innovation_cov=np.array([[4.0e-4, 1.2e-4, 0.6e-4],
                                  [1.2e-4, 6.0e-4, 0.9e-4],
                                  [0.6e-4, 0.9e-4, 3.0e-4]]),
@@ -240,15 +240,15 @@ def test_correlated_pair_joint_shock():
 
 def test_bootstrap_identity_and_coverage():
     assets = ("A", "B")
-    own = (HarCoefficients(0.4 * (1 - (0.30 + 0.10 - 0.08) - 0.25), 0.30, 0.10, -0.08),
-           HarCoefficients(0.4 * (1 - (0.45 + 0.12 - 0.10) - 0.25), 0.45, 0.12, -0.10))
+    own = np.array([[0.4 * (1 - (0.30 + 0.10 - 0.08) - 0.25), 0.30, 0.10, -0.08],
+                    [0.4 * (1 - (0.45 + 0.12 - 0.10) - 0.25), 0.45, 0.12, -0.10]])
     edges = (PlantedEdge("B", "A", "daily", 0.25), PlantedEdge("A", "B", "daily", 0.25))
     cov = np.array([[6.4e-3, 1.92e-3], [1.92e-3, 6.4e-3]])
     base = SyntheticSpec(assets=assets, length=400, own=own, cross=edges,
                          innovation_cov=cov, seed=0)
     group = ShockGroup(name="both", members=assets)
     horizon = 3
-    fit_cfg = FitConfig(tol=1e-5)
+    fit_cfg = FitConfig()
     lambdas = (1e-5, 1e-5)
 
     t0 = time.perf_counter()
@@ -262,7 +262,7 @@ def test_bootstrap_identity_and_coverage():
     for trial in range(100):
         panel = generate_synthetic_panel(replace(base, seed=1000 + trial))
         band = bootstrap_jirf(
-            panel, fit_cfg, lambdas, [group],
+            panel, fit_hybrid(panel, fit_cfg, fixed_lambdas=lambdas), [group],
             BootstrapConfig(block_length=32, replications=200, ci_level=0.95,
                             seed=trial, n_jobs=1),
             horizon=horizon)
@@ -321,9 +321,9 @@ def test_cli_end_to_end_determinism(tmp_path, monkeypatch):
     spec = SyntheticSpec(
         assets=("A", "B", "C"),
         length=480,
-        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
-             HarCoefficients(0.015, 0.35, 0.30, 0.25),
-             HarCoefficients(0.012, 0.30, 0.35, 0.25)),
+        own=np.array([[0.010, 0.40, 0.30, 0.20],
+                      [0.015, 0.35, 0.30, 0.25],
+                      [0.012, 0.30, 0.35, 0.25]]),
         innovation_cov=np.array([[4.0e-4, 1.0e-4, 0.0],
                                  [1.0e-4, 6.0e-4, 0.0],
                                  [0.0, 0.0, 3.0e-4]]),

@@ -13,7 +13,6 @@ import pytest
 
 from volnet import cli
 from volnet.cli import _atomic_write
-from volnet.har import HarCoefficients
 from volnet.synthetic import SyntheticSpec, spec_to_dict
 
 TEXT = "# config=abc\ndate,A\n2020-01-02,0.25\n"
@@ -80,7 +79,7 @@ def test_a_symlink_is_replaced_by_a_regular_file(tmp_path, replaces):
 def test_a_directory_destination_is_code_file_not_found(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(spec_to_dict(SyntheticSpec(
-        assets=("A",), length=40, own=(HarCoefficients(0.01, 0.4, 0.3, 0.2),),
+        assets=("A",), length=40, own=np.array([[0.01, 0.4, 0.3, 0.2]]),
         innovation_cov=np.array([[1e-4]]), seed=1))))
     out = tmp_path / "rv.csv"
     out.mkdir()

@@ -17,7 +17,6 @@ from volnet.errors import (
     TooManyReplicateFailures,
     VolnetError,
 )
-from volnet.har import HarCoefficients
 from volnet.hybrid import FitConfig, fit_hybrid
 from volnet.jirf import ShockGroup, jirf_for_group
 from volnet.rv import RvPanel
@@ -35,13 +34,18 @@ def boot_panel() -> RvPanel:
     spec = SyntheticSpec(
         assets=("A", "B"),
         length=400,
-        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
-             HarCoefficients(0.015, 0.35, 0.30, 0.25)),
+        own=np.array([[0.010, 0.40, 0.30, 0.20],
+                      [0.015, 0.35, 0.30, 0.25]]),
         innovation_cov=np.array([[4e-4, 1e-4], [1e-4, 4e-4]]),
         cross=(PlantedEdge("B", "A", "daily", 0.30),),
         seed=17,
     )
     return generate_synthetic_panel(spec)
+
+
+@pytest.fixture(scope="module")
+def boot_model(boot_panel):
+    return fit_hybrid(boot_panel, FitConfig(), fixed_lambdas=LAMBDAS)
 
 
 def test_block_resample_full_length_block_is_identity(boot_panel):
@@ -90,17 +94,17 @@ def test_config_validation():
         BootstrapConfig(ci_level=1.0)
 
 
-def test_identity_bootstrap_collapses_band(boot_panel):
+def test_identity_bootstrap_collapses_band(boot_panel, boot_model):
     cfg = BootstrapConfig(block_length=len(boot_panel), replications=5, seed=3)
-    band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg, horizon=8)
+    band = bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=8)
     np.testing.assert_array_equal(band.lower, band.point)
     np.testing.assert_array_equal(band.upper, band.point)
     assert band.n_effective == 5 and band.n_failed == 0
 
 
-def test_band_shapes_and_order(boot_panel):
+def test_band_shapes_and_order(boot_panel, boot_model):
     cfg = BootstrapConfig(block_length=50, replications=30, seed=4)
-    band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg, horizon=12)
+    band = bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=12)
     assert band.groups == ("a_only", "both")
     assert band.assets == ("A", "B")
     assert band.point.shape == band.lower.shape == band.upper.shape == (2, 13, 2)
@@ -111,20 +115,20 @@ def test_band_shapes_and_order(boot_panel):
     assert inside.mean() >= 0.5
 
 
-def test_replicate_results_independent_of_pool_size(boot_panel):
+def test_replicate_results_independent_of_pool_size(boot_panel, boot_model):
     base = dict(block_length=40, replications=12, seed=9)
-    serial = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS,
+    serial = bootstrap_jirf(boot_panel, boot_model, GROUPS,
                             BootstrapConfig(n_jobs=1, **base), horizon=6)
-    pooled = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS,
+    pooled = bootstrap_jirf(boot_panel, boot_model, GROUPS,
                             BootstrapConfig(n_jobs=2, **base), horizon=6)
     np.testing.assert_array_equal(serial.lower, pooled.lower)
     np.testing.assert_array_equal(serial.upper, pooled.upper)
     np.testing.assert_array_equal(serial.point, pooled.point)
 
 
-def test_band_matches_manual_replication(boot_panel):
+def test_band_matches_manual_replication(boot_panel, boot_model):
     cfg = BootstrapConfig(block_length=60, replications=15, seed=21)
-    band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg, horizon=5)
+    band = bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=5)
 
     paths = []
     for r in range(cfg.replications):
@@ -145,7 +149,7 @@ def test_band_matches_manual_replication(boot_panel):
             quantile_sorted(stacked[:, g, h, k], 1.0 - tail), rel=1e-12)
 
 
-def test_failed_replicates_counted_then_abort(boot_panel, monkeypatch):
+def test_failed_replicates_counted_then_abort(boot_panel, boot_model, monkeypatch):
     import volnet.bootstrap as bs
 
     real = bs._fit_replicate
@@ -158,25 +162,22 @@ def test_failed_replicates_counted_then_abort(boot_panel, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bs, "_fit_replicate", flaky)
-    cfg = BootstrapConfig(block_length=80, replications=10, seed=2,
-                          max_failure_rate=0.25)
-    band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg, horizon=4)
+    monkeypatch.setattr(bs, "MAX_FAILURE_RATE", 0.25)
+    cfg = BootstrapConfig(block_length=80, replications=10, seed=2)
+    band = bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=4)
     assert band.n_failed == 2 and band.n_effective == 8
 
     calls["n"] = 0
-    strict = BootstrapConfig(block_length=80, replications=10, seed=2,
-                             max_failure_rate=0.05)
+    monkeypatch.setattr(bs, "MAX_FAILURE_RATE", 0.05)
     with pytest.raises(TooManyReplicateFailures) as exc:
-        bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, strict, horizon=4)
+        bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=4)
     assert exc.value.n_failed == 2 and exc.value.n_total == 10
 
 
-def test_point_model_passthrough(boot_panel):
-    model = fit_hybrid(boot_panel, FitConfig(), fixed_lambdas=LAMBDAS)
+def test_point_model_passthrough(boot_panel, boot_model):
     cfg = BootstrapConfig(block_length=len(boot_panel), replications=3, seed=5)
-    band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg,
-                          horizon=6, point_model=model)
-    expected = np.stack([jirf_for_group(model, g, 6).responses for g in GROUPS])
+    band = bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=6)
+    expected = np.stack([jirf_for_group(boot_model, g, 6).responses for g in GROUPS])
     np.testing.assert_array_equal(band.point, expected)
 
 
@@ -194,6 +195,7 @@ def test_rank_deficient_replicates_are_counted_as_failed(boot_panel, monkeypatch
     values = boot_panel.values.copy()
     values[:300, 1] = 0.2
     panel = RvPanel(boot_panel.dates, boot_panel.assets, values)
+    model = fit_hybrid(panel, FitConfig(), fixed_lambdas=LAMBDAS)
     raised = []
     real = bs.fit_hybrid
 
@@ -205,17 +207,18 @@ def test_rank_deficient_replicates_are_counted_as_failed(boot_panel, monkeypatch
             raise
 
     monkeypatch.setattr(bs, "fit_hybrid", recording)
-    cfg = BootstrapConfig(block_length=100, replications=20, seed=3, max_failure_rate=1.0)
-    band = bootstrap_jirf(panel, FitConfig(), LAMBDAS, GROUPS[:1], cfg, horizon=4)
+    monkeypatch.setattr(bs, "MAX_FAILURE_RATE", 1.0)
+    cfg = BootstrapConfig(block_length=100, replications=20, seed=3)
+    band = bootstrap_jirf(panel, model, GROUPS[:1], cfg, horizon=4)
     assert raised and set(raised) == {"RankDeficientDesign"}
     assert band.n_failed == len(raised) and band.n_effective == 20 - len(raised)
 
 
-def test_bands_identical_for_one_two_and_three_workers(boot_panel):
+def test_bands_identical_for_one_two_and_three_workers(boot_panel, boot_model):
     # with three workers array_split makes twelve one-replicate chunks, so each
     # replicate is traced alone; serially they share one batch
     base = dict(block_length=40, replications=12, seed=9)
-    bands = [bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS,
+    bands = [bootstrap_jirf(boot_panel, boot_model, GROUPS,
                             BootstrapConfig(n_jobs=n, **base), horizon=6)
              for n in (1, 2, 3)]
     for band in bands[1:]:
@@ -224,7 +227,7 @@ def test_bands_identical_for_one_two_and_three_workers(boot_panel):
         np.testing.assert_array_equal(band.point, bands[0].point)
 
 
-def test_failures_are_counted_per_error_code(boot_panel, monkeypatch):
+def test_failures_are_counted_per_error_code(boot_panel, boot_model, monkeypatch):
     # replicates 0 and 5 fail to fit; 1 and 6 fit an explosive model, which
     # the batched trace refuses while tracing its batch's other replicates
     import dataclasses
@@ -240,18 +243,19 @@ def test_failures_are_counted_per_error_code(boot_panel, monkeypatch):
             raise RankDeficientDesign("synthetic failure")
         model = real(*args, **kwargs)
         if calls["n"] % 5 == 2:
-            return dataclasses.replace(model, own=(HarCoefficients(0.0, 0.6, 0.3, 0.2),) * 2)
+            return dataclasses.replace(model, own=np.array([[0.0, 0.6, 0.3, 0.2]] * 2))
         return model
 
     monkeypatch.setattr(bs, "_fit_replicate", failing)
-    cfg = BootstrapConfig(block_length=80, replications=10, seed=2, max_failure_rate=0.5)
-    band = bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, cfg, horizon=4)
+    monkeypatch.setattr(bs, "MAX_FAILURE_RATE", 0.5)
+    cfg = BootstrapConfig(block_length=80, replications=10, seed=2)
+    band = bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=4)
     assert band.n_failed == 4 and band.n_effective == 6
 
     calls["n"] = 0
-    strict = dataclasses.replace(cfg, max_failure_rate=0.05)
+    monkeypatch.setattr(bs, "MAX_FAILURE_RATE", 0.05)
     with pytest.raises(TooManyReplicateFailures) as exc:
-        bootstrap_jirf(boot_panel, FitConfig(), LAMBDAS, GROUPS, strict, horizon=4)
+        bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=4)
     assert exc.value.by_code == {"ExplosiveModel": 2, "RankDeficientDesign": 2}
     assert str(exc.value) == ("4 of 10 replicates failed "
                               "(ExplosiveModel: 2, RankDeficientDesign: 2)")

@@ -13,7 +13,7 @@ from volnet.cli import build_parser, main
 from volnet.config import config_from_dict, config_hash, load_config
 from volnet.errors import InvalidConfig
 from volnet.evaluate import build_forecast_report, rolling_forecast, split_train_test
-from volnet.har import HarCoefficients, fit_har_panel
+from volnet.har import fit_har_panel
 from volnet.hybrid import fit_hybrid
 from volnet.ingest import load_ohlc_csv
 from volnet.synthetic import PlantedEdge, SyntheticSpec, spec_to_dict
@@ -40,8 +40,8 @@ def workdir(tmp_path_factory) -> dict:
     spec = SyntheticSpec(
         assets=("A", "B"),
         length=260,
-        own=(HarCoefficients(0.010, 0.40, 0.30, 0.20),
-             HarCoefficients(0.015, 0.35, 0.30, 0.25)),
+        own=np.array([[0.010, 0.40, 0.30, 0.20],
+                      [0.015, 0.35, 0.30, 0.25]]),
         innovation_cov=np.array([[4e-4, 1e-4], [1e-4, 4e-4]]),
         cross=(PlantedEdge("B", "A", "daily", 0.30),),
         seed=5,
@@ -697,7 +697,7 @@ def test_simulate_refuses_a_spec_whose_cross_edges_make_it_explosive(tmp_path, c
     horizons = ("daily", "weekly", "monthly")
     spec = SyntheticSpec(
         assets=assets, length=2500,
-        own=tuple(HarCoefficients(0.01, 0.4, 0.3, 0.2 if i % 2 else 0.25) for i in range(6)),
+        own=np.array([[0.01, 0.4, 0.3, 0.2 if i % 2 else 0.25] for i in range(6)]),
         cross=tuple(PlantedEdge(assets[i], assets[(i + 1) % 6], horizons[i % 3], 0.1)
                     for i in range(6)),
         innovation_cov=1e-4 * np.eye(6))

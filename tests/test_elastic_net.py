@@ -383,6 +383,14 @@ def test_column_scales_of_a_subset_are_that_subset_of_the_scales(seed, M, P, dat
                                   _column_scales(X)[cols])
 
 
+@pytest.mark.parametrize("value", [1.5, 0.2, 0.0])
+def test_a_constant_column_gets_scale_one(value):
+    # the mean of 396 values of 0.2 does not round to 0.2, so np.std reads 2.8e-17
+    X = np.column_stack([np.full(396, value), np.arange(396.0)])
+    assert _column_scales(X)[0] == 1.0
+    assert _column_scales(X)[1] == np.std(np.arange(396.0), ddof=1)
+
+
 def _cv_naive(X, y, grid, alpha, n_folds):
     """(mean validation MSE per lam, selected lam) from a cold fit per (fold, lam)
     of the training rows, scaled by their own columns, and the one-SE rule."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from volnet import har
 from volnet.errors import HistoryTooShort, NonFiniteInput, RankDeficientDesign, SeriesTooShort
 from volnet.har import (
-    HarCoefficients,
     HarModelSet,
     PanelMoments,
     fit_har_ols,
@@ -40,7 +39,7 @@ def fit_features(features, target):
     residuals: the centred target less the slopes times the centred features."""
     pm = PanelMoments.of(np.vstack([features.T, target]))
     coef = own_ols(pm, (None,))
-    return HarCoefficients(*map(float, coef[0])), pm.centred[3] - coef[0, 1:] @ pm.centred[:3]
+    return coef[0], pm.centred[3] - coef[0, 1:] @ pm.centred[:3]
 
 
 def test_constant_series_features():
@@ -126,9 +125,10 @@ def test_too_short_raises():
 
 
 def synthetic_features(n, coef, seed, noise=0.0):
-    """A series' lag features and a target the HAR `coef` makes of them."""
+    """A series' lag features and a target the HAR `coef` (intercept, daily,
+    weekly, monthly) makes of them."""
     f = lag_means(random_rv(n, seed))
-    y = coef.intercept + f @ np.array([coef.beta_d, coef.beta_w, coef.beta_m])
+    y = coef[0] + f @ np.array(coef[1:])
     if noise:
         y = y + noise * np.random.default_rng(seed + 1).standard_normal(len(y))
     return f, y
@@ -139,19 +139,19 @@ def design(features):
 
 
 def test_noiseless_recovery():
-    true = HarCoefficients(0.01, 0.4, 0.3, 0.2)
+    true = [0.01, 0.4, 0.3, 0.2]
     fit, resid = fit_features(*synthetic_features(500, true, seed=5))
-    np.testing.assert_allclose(fit.as_array(), true.as_array(), atol=1e-8)
+    np.testing.assert_allclose(fit, true, atol=1e-8)
     assert np.max(np.abs(resid)) < 1e-8
 
 
 def test_matches_normal_equations_oracle():
     for seed in range(10):
-        f, y = synthetic_features(80, HarCoefficients(0.02, 0.3, 0.25, 0.2),
+        f, y = synthetic_features(80, [0.02, 0.3, 0.25, 0.2],
                                   seed=seed, noise=0.01)
         fit, _ = fit_features(f, y)
         ref = ols_normal_equations(design(f), y)
-        np.testing.assert_allclose(fit.as_array(), ref, atol=1e-10)
+        np.testing.assert_allclose(fit, ref, atol=1e-10)
 
 
 def test_constant_series_rank_deficient():
@@ -160,35 +160,36 @@ def test_constant_series_rank_deficient():
 
 
 def test_residual_orthogonality_and_reconstruction():
-    f, y = synthetic_features(300, HarCoefficients(0.01, 0.35, 0.3, 0.2), seed=6, noise=0.02)
+    f, y = synthetic_features(300, [0.01, 0.35, 0.3, 0.2], seed=6, noise=0.02)
     fit, resid = fit_features(f, y)
     X = design(f)
     scale = np.abs(X).sum(axis=0)
     np.testing.assert_allclose((X.T @ resid) / scale, 0.0, atol=1e-8)
     assert abs(resid.sum()) / len(resid) < 1e-8
-    np.testing.assert_allclose(X @ fit.as_array() + resid, y, rtol=1e-10)
+    np.testing.assert_allclose(X @ fit + resid, y, rtol=1e-10)
 
 
 def test_persistence_examples():
-    assert HarCoefficients(0.0, 0.4, 0.3, 0.29).persistence == pytest.approx(0.99)
-    assert HarCoefficients(0.0, 0.0, 0.0, 0.0).persistence == 0.0
+    model = HarModelSet(("A", "B"), np.array([[0.0, 0.4, 0.3, 0.29], [0.0, 0.0, 0.0, 0.0]]))
+    assert model.persistence.tolist() == pytest.approx([0.99, 0.0])
+    assert model.persistence[1] == 0.0
 
 
 def test_persistence_recovered_from_persistent_panel():
     spec = SyntheticSpec(
         assets=("A",), length=3000,
-        own=(HarCoefficients(0.004, 0.45, 0.32, 0.20),),  # phi = 0.97
+        own=np.array([[0.004, 0.45, 0.32, 0.20]]),  # phi = 0.97
         innovation_cov=np.array([[2.5e-5]]), seed=8)
     panel = generate_synthetic_panel(spec)
     fit, _ = fit_har_ols(panel.values[:, 0])
-    assert 0.9 <= fit.persistence <= 1.0
+    assert 0.9 <= fit[1] + fit[2] + fit[3] <= 1.0
 
 
 def test_explosive_fit_warns():
-    f, y = synthetic_features(400, HarCoefficients(0.0, 0.6, 0.3, 0.15), seed=9, noise=1e-4)
+    f, y = synthetic_features(400, [0.0, 0.6, 0.3, 0.15], seed=9, noise=1e-4)
     with pytest.warns(UserWarning, match="persistence"):
         fit, _ = fit_features(f, y)
-    assert fit.persistence >= 1.0
+    assert fit[1] + fit[2] + fit[3] >= 1.0
 
 
 def test_har_model_set_prediction_and_panel_fit(zero_cross_panel):
@@ -196,12 +197,12 @@ def test_har_model_set_prediction_and_panel_fit(zero_cross_panel):
     # per-asset equality with univariate fits
     for i in range(3):
         solo, _ = fit_har_ols(zero_cross_panel.values[:, i])
-        assert model.own[i] == solo
+        np.testing.assert_array_equal(model.own[i], solo)
     hist = zero_cross_panel.values[-22:]
     pred = model.predict_one_step(hist)
     for i, c in enumerate(model.own):
-        manual = (c.intercept + c.beta_d * hist[-1, i] + c.beta_w * hist[-5:, i].mean()
-                  + c.beta_m * hist[-22:, i].mean())
+        manual = (c[0] + c[1] * hist[-1, i] + c[2] * hist[-5:, i].mean()
+                  + c[3] * hist[-22:, i].mean())
         assert pred[i] == pytest.approx(manual, rel=1e-12)
     with pytest.raises(HistoryTooShort):
         model.predict_one_step(hist[:10])
@@ -217,7 +218,7 @@ def test_windowed_predict_is_the_one_step_and_the_trailing_mean_loop(seed, K, la
     m = max(lags)
     rng = np.random.default_rng(seed)
     assets = tuple(f"A{i}" for i in range(K))
-    own = tuple(HarCoefficients(*map(float, rng.normal(0.0, 0.5, 4))) for _ in range(K))
+    own = rng.normal(0.0, 0.5, (K, 4))
     coef = np.zeros((K, K, 3))
     if univariate:
         model = HarModelSet(assets, own, lags)
@@ -225,13 +226,12 @@ def test_windowed_predict_is_the_one_step_and_the_trailing_mean_loop(seed, K, la
         coef[:] = rng.normal(0.0, 0.3, (K, K, 3)) * (rng.random((K, K, 3)) < 0.5)
         coef[np.arange(K), np.arange(K)] = 0.0
         model = HybridModel(assets, own, coef.copy(), np.zeros(K), np.eye(K), lags)
-    for i, c in enumerate(own):
-        coef[i, i] = (c.beta_d, c.beta_w, c.beta_m)
+    coef[np.arange(K), np.arange(K)] = own[:, 1:]
     values = np.exp(rng.normal(-1.5, 0.5, (m + extra, K)))
 
     pred = model.predict(values)
     assert pred.shape == (extra + 1, K)
-    intercepts = np.array([c.intercept for c in own])
+    intercepts = own[:, 0]
     for r in range(extra + 1):
         window = values[r:r + m]
         np.testing.assert_array_equal(pred[r], model.predict_one_step(window))
@@ -256,9 +256,9 @@ def test_a_series_fitted_alone_gets_the_bits_of_its_panel_column(seed, K, N, for
         model = fit_har_panel(panel)
         for i in range(K):
             solo, _ = fit_har_ols(values[:, i])
-            assert solo == model.own[i]
+            np.testing.assert_array_equal(solo, model.own[i])
             ref = ols_lstsq(lag_means(values[:, i]), values[22:, i])[0]
-            np.testing.assert_allclose(solo.as_array(), ref, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(solo, ref, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("field", ["target", "daily", "monthly"])
@@ -295,7 +295,7 @@ def test_fit_har_ols_residuals_are_the_centred_target_less_the_centred_features(
         fit, resid = fit_har_ols(v)
         Z = np.vstack([lag_means(v).T, v[22:]])
         Zc = Z - Z.mean(axis=1)[:, None]
-        beta = np.array([[fit.beta_d, fit.beta_w, fit.beta_m]])
+        beta = fit[None, 1:]
         want = (Zc[3:] - (beta[:, None, :] @ Zc[:3].reshape(1, 3, -1))[:, 0])[0]
         assert resid.tobytes() == want.tobytes()
 

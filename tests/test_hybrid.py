@@ -26,7 +26,7 @@ from volnet.errors import (
     SeriesTooShort,
     TooFewObservations,
 )
-from volnet.har import HarCoefficients, fit_har_ols, fit_har_panel, lag_means
+from volnet.har import HarModelSet, fit_har_ols, fit_har_panel, lag_means
 from volnet.hybrid import (
     FEATURE_ORDER_TAG,
     FitConfig,
@@ -44,7 +44,7 @@ from oracles import cross_validate_rows, ols_lstsq, residual_covariance
 
 def small_model(cross: np.ndarray, assets=("A", "B"), lags=(1, 2, 3)) -> HybridModel:
     K = len(assets)
-    own = tuple(HarCoefficients(0.01 * (i + 1), 0.4, 0.3, 0.2) for i in range(K))
+    own = np.array([[0.01 * (i + 1), 0.4, 0.3, 0.2] for i in range(K)])
     return HybridModel(assets=assets, own=own, cross=cross,
                        selected_lambda=np.zeros(K), residual_cov=np.eye(K) * 1e-4,
                        lags=lags)
@@ -53,8 +53,7 @@ def small_model(cross: np.ndarray, assets=("A", "B"), lags=(1, 2, 3)) -> HybridM
 def test_step_one_matches_univariate_har(zero_cross_panel):
     model = fit_hybrid(zero_cross_panel, FitConfig())
     benchmark = fit_har_panel(zero_cross_panel)
-    for got, want in zip(model.own, benchmark.own):
-        np.testing.assert_array_equal(got.as_array(), want.as_array())
+    np.testing.assert_array_equal(model.own, benchmark.own)
 
 
 def test_zero_cross_panel_mostly_sparse(zero_cross_panel):
@@ -98,8 +97,7 @@ def test_prediction_splits_into_own_and_cross(two_asset_panel):
 def test_own_coefficients_independent_of_penalty(two_asset_panel):
     loose = fit_hybrid(two_asset_panel, fixed_lambdas=(1e-5, 1e-5))
     tight = fit_hybrid(two_asset_panel, fixed_lambdas=(10.0, 10.0))
-    for a, b in zip(loose.own, tight.own):
-        np.testing.assert_array_equal(a.as_array(), b.as_array())
+    np.testing.assert_array_equal(loose.own, tight.own)
     assert np.all(tight.cross == 0.0)
     assert np.any(loose.cross != 0.0)
 
@@ -120,7 +118,7 @@ def assert_matches_standalone_fit(own, cross, X, series, pen):
 
 def assert_close_to_lstsq(own, ols):
     """Each coefficient within 1e-9 relative of lstsq's."""
-    np.testing.assert_allclose(own.as_array(), ols, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(own, ols, rtol=1e-9, atol=0)
 
 
 def test_fixed_lambdas_reproduce_manual_second_step(two_asset_panel):
@@ -154,8 +152,7 @@ def test_cross_fits_match_standalone_fits_on_unscaled_designs(seed, K, N, log_la
             cross = np.delete(model.cross[i], i, axis=0).ravel()
             assert_matches_standalone_fit(model.own[i], cross, X, values[:, i],
                                           PenaltySpec(lams[i], model.alpha))
-            np.testing.assert_array_equal(model.own[i].as_array(),
-                                          har.own[i].as_array())
+            np.testing.assert_array_equal(model.own[i], har.own[i])
 
 
 def test_residual_covariance_matches_stored(two_asset_panel):
@@ -227,8 +224,7 @@ def test_model_json_round_trip(two_asset_panel):
     back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     assert back.assets == model.assets
     assert back.lags == model.lags and back.alpha == model.alpha
-    for a, b in zip(back.own, model.own):
-        np.testing.assert_array_equal(a.as_array(), b.as_array())
+    np.testing.assert_array_equal(back.own, model.own)
     np.testing.assert_array_equal(back.cross, model.cross)
     np.testing.assert_array_equal(back.selected_lambda, model.selected_lambda)
     np.testing.assert_array_equal(back.residual_cov, model.residual_cov)
@@ -243,6 +239,21 @@ def test_model_json_round_trip(two_asset_panel):
 def test_model_rejects_a_cross_array_of_another_shape(shape):
     with pytest.raises(ValueError, match="cross has shape"):
         small_model(np.zeros(shape))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("own", np.array([[0.8, 0.1, 0.1, 0.1]])),  # one asset's row for two assets
+    ("own", np.zeros((2, 3))), ("selected_lambda", np.zeros(1)),
+    ("selected_lambda", np.zeros((2, 1))), ("residual_cov", np.eye(1)),
+    ("residual_cov", np.zeros(2)),
+])
+def test_model_rejects_fields_of_another_shape(field, value):
+    # such a model would predict, e.g. B with A's intercept and no own dynamics
+    with pytest.raises(ValueError, match=f"{field} has shape"):
+        dataclasses.replace(small_model(np.zeros((2, 2, 3))), **{field: value})
+    if field == "own":
+        with pytest.raises(ValueError, match="own has shape"):
+            HarModelSet(("A", "B"), value)
 
 
 def test_model_rejects_nonzero_self_entries():
@@ -362,8 +373,7 @@ def cv_fit_and_row_oracle(panel, cfg, monkeypatch):
     for i, (grid, got) in enumerate(seen):
         X = np.delete(feats, i, axis=1).reshape(len(feats), -1)
         r = fit_har_ols(panel.values[:, i], cfg.lags)[1]
-        rows.append(cross_validate_rows(X, r, grid, cfg.alpha, cfg.cv_folds,
-                                        cfg.tol, cfg.max_iter))
+        rows.append(cross_validate_rows(X, r, grid, cfg.alpha, cfg.cv_folds))
     oracle = fit_hybrid(panel, cfg, fixed_lambdas=[cv.selected_lambda for cv in rows])
     return model, [cv for _, cv in seen], rows, oracle
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volnet.errors import ExplosiveModel, NonFiniteSimulation, SingularSubmatrix
-from volnet.har import HarCoefficients
 from volnet.hybrid import HybridModel
 from volnet.jirf import (
     DEFAULT_HORIZON,
@@ -25,12 +24,12 @@ ASSETS = ("A", "B", "C")
 def make_model(cross=None, own=None, cov=None, assets=ASSETS, lags=(1, 2, 3)):
     K = len(assets)
     if own is None:
-        own = tuple(HarCoefficients(0.01, 0.35, 0.25, 0.20) for _ in range(K))
+        own = tuple([0.01, 0.35, 0.25, 0.20] for _ in range(K))
     if cross is None:
         cross = np.zeros((K, K, 3))
     if cov is None:
         cov = np.eye(K) * 1e-4
-    return HybridModel(assets=assets, own=own, cross=cross,
+    return HybridModel(assets=assets, own=np.asarray(own, dtype=float), cross=cross,
                        selected_lambda=np.zeros(K), residual_cov=cov, lags=lags)
 
 
@@ -99,7 +98,7 @@ def test_hand_iterated_three_steps():
     # K=2, lags (1,2,3); B -> A daily only, a zero seed history
     cross = np.zeros((2, 2, 3))
     cross[0, 1, 0] = 0.5
-    own = (HarCoefficients(0.0, 0.4, 0.3, 0.2), HarCoefficients(0.0, 0.3, 0.3, 0.2))
+    own = ([0.0, 0.4, 0.3, 0.2], [0.0, 0.3, 0.3, 0.2])
     model = make_model(cross=cross, own=own, assets=("A", "B"))
     shock = np.array([0.0, 0.06])
     path = simulate_jirf(model, shock, horizon=3)
@@ -184,7 +183,7 @@ def test_default_group_seed_and_label(two_asset_panel):
 
 
 def test_explosive_model_refused():
-    own = (HarCoefficients(0.0, 0.6, 0.3, 0.2),) * 3  # persistence 1.1
+    own = ([0.0, 0.6, 0.3, 0.2],) * 3  # persistence 1.1
     model = make_model(own=own)
     with pytest.raises(ExplosiveModel):
         simulate_jirf(model, np.array([0.01, 0.0, 0.0]))
@@ -223,7 +222,7 @@ def _stable_models(draw):
     lags = draw(st.sampled_from([(1, 2, 3), (1, 5, 22)]))
     phi = rng.uniform(0.3, 0.65, K)
     betas = phi[:, None] * rng.dirichlet(np.ones(3), K)
-    own = tuple(HarCoefficients(float(c), *map(float, b))
+    own = tuple([float(c), *map(float, b)]
                 for c, b in zip(rng.uniform(0.005, 0.05, K), betas))
     off = rng.uniform(-1.0, 1.0, (K, K - 1, 3)) * (rng.random((K, K - 1, 3)) < 0.5)
     row_abs = np.abs(off).sum(axis=(1, 2))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volnet.errors import ExplosiveModel, NonFiniteSimulation, SingularSubmatrix
-from volnet.har import HarCoefficients
 from volnet.hybrid import HybridModel
 from volnet.jirf import (
     ShockGroup,
@@ -29,14 +28,14 @@ def make_model(rng=None, assets=ASSETS, lags=(1, 2, 3), own=None, cross=None, co
     rng = rng or np.random.default_rng(0)
     if own is None:
         betas = rng.uniform(0.3, 0.6, K)[:, None] * rng.dirichlet(np.ones(3), K)
-        own = tuple(HarCoefficients(0.01, *map(float, b)) for b in betas)
+        own = tuple([0.01, *map(float, b)] for b in betas)
     if cross is None:
         cross = rng.uniform(-0.1, 0.1, (K, K, 3)) * (1.0 - np.eye(K))[:, :, None]
     if cov is None:
         A = rng.standard_normal((K, K))
         cov = (A @ A.T / K + 0.1 * np.eye(K)) * 1e-4
-    return HybridModel(assets=assets, own=own, cross=cross, selected_lambda=np.zeros(K),
-                       residual_cov=cov, lags=lags)
+    return HybridModel(assets=assets, own=np.asarray(own, dtype=float), cross=cross,
+                       selected_lambda=np.zeros(K), residual_cov=cov, lags=lags)
 
 
 @st.composite
@@ -72,7 +71,7 @@ def _failing_models():
     """An explosive model, one whose group ("A", "B") block is zero, and one
     whose response to a shock in B overflows at horizon 1."""
     explosive = make_model(np.random.default_rng(1),
-                           own=(HarCoefficients(0.0, 0.6, 0.3, 0.2),) * 3)
+                           own=([0.0, 0.6, 0.3, 0.2],) * 3)
     singular = make_model(np.random.default_rng(2), cov=np.diag([0.0, 0.0, 1e-4]))
     cross = np.zeros((3, 3, 3))
     cross[0, 1, 0] = 1e300  # B -> A daily
