@@ -51,6 +51,8 @@ class BootstrapConfig:
             raise ValueError("ci_level must be in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.n_jobs < 1:
+            raise ValueError("n_jobs must be >= 1")
 
 
 @dataclass(frozen=True)

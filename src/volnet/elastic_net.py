@@ -37,11 +37,14 @@ leaves A). Once A is stationary, the zero coordinate with the largest KKT
 violation joins A before the next step. In exact arithmetic each step lowers
 F and no active set recurs with the same signs, so the search reaches the
 optimum in finitely many steps; it stops when the KKT conditions hold to a
-tolerance, not when steps get small.
+tolerance, not when steps get small. At g = 0 the conditions read
+max|q_j| <= lam*alpha, so from a cold start the zero solution, common at a
+large penalty, is certified from q before the Hessian is formed.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,8 +64,8 @@ class PenaltySpec:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be a finite number >= 0, got {self.lam}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
@@ -125,38 +128,49 @@ def fit_elastic_net(stats: Moments, pen: PenaltySpec, tol: float = DEFAULT_TOL,
     """Minimize F by feature-sign search on the problem `stats` describes.
 
     Coefficients and warm start are in the units the statistics were formed
-    in. A nonzero warm start seeds the active set with its nonzero coordinates
-    and their signs. Each iteration checks the KKT conditions; when they hold
-    to `tol`, the quantity `kkt_violation` measures, the fit is converged.
-    Otherwise, if the active set is already stationary, the zero coordinate
-    with the largest violation joins it, and the iteration ends with one
-    feature-sign step. `n_sweeps` counts iterations: the active-set solves plus
-    the check that certifies the result. Hitting max_iter is a soft failure: a
-    DidNotConvergeWarning is issued and the last iterate is returned with
-    converged=False.
+    in; a warm start must be shaped (P,). A nonzero warm start seeds the
+    active set with its nonzero coordinates and their signs. Each iteration
+    checks the KKT conditions; when they hold to `tol`, the quantity
+    `kkt_violation` measures, the fit is converged. Otherwise, if the active
+    set is already stationary, the zero coordinate with the largest violation
+    joins it, and the iteration ends with one feature-sign step. `n_sweeps`
+    counts iterations: the active-set solves plus the check that certifies
+    the result. From a cold or all-zero start that check needs only q, so
+    the zero solution, the usual result at a large penalty, is certified
+    (one iteration) before the Hessian is formed. Hitting max_iter is a soft
+    failure: a DidNotConvergeWarning is issued and the last iterate is
+    returned with converged=False.
     """
-    if not (np.all(np.isfinite(stats.xtx)) and np.all(np.isfinite(stats.xty))):
+    if not (np.isfinite(stats.xtx).all() and np.isfinite(stats.xty).all()):
         raise NonFiniteInput("sufficient statistics contain non-finite values")
     M, P = stats.n, len(stats.xty)
+    if warm_start is None:
+        gamma = np.zeros(P)
+    else:
+        gamma = np.array(warm_start, dtype=float)
+        if gamma.shape != (P,):
+            raise ValueError(f"warm start has shape {gamma.shape}, expected ({P},)")
+        if not np.isfinite(gamma).all():
+            raise NonFiniteInput("warm start contains non-finite values")
     if P == 0:
-        return ElasticNetFit(np.empty(0), 0, True)
+        return ElasticNetFit(gamma, 0, True)
 
     q = (2.0 / M) * stats.xty
-    H = (2.0 / M) * stats.xtx + pen.lam * (1.0 - pen.alpha) * np.eye(P)  # G + ridge
     thr = pen.lam * pen.alpha
-
-    gamma = np.zeros(P) if warm_start is None else np.array(warm_start, dtype=float)
-    if not np.all(np.isfinite(gamma)):
-        raise NonFiniteInput("warm start contains non-finite values")
-    sign = np.sign(gamma)      # s_A on the active set, 0 elsewhere
     active = gamma != 0.0
+    if max_iter >= 1 and not active.any() and np.abs(q).max() - thr <= tol:
+        return ElasticNetFit(gamma, 1, True)  # the first iteration's check, with c = q
+    H = (2.0 / M) * stats.xtx
+    H.flat[::P + 1] += pen.lam * (1.0 - pen.alpha)  # G + ridge
+    sign = np.sign(gamma)  # s_A on the active set, 0 elsewhere
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         c = q - H @ gamma
-        if not np.any(np.abs(c - thr * sign)[active] > tol):  # active set stationary
-            excess = np.where(active, -np.inf, np.abs(c) - thr)
-            j = int(np.argmax(excess))
+        viol = np.abs(c - thr * sign)  # |c| off the active set
+        if not (viol[active] > tol).any():  # active set stationary
+            excess = np.where(active, -np.inf, viol - thr)
+            j = int(excess.argmax())
             if excess[j] <= tol:
                 converged = True
                 break
@@ -178,17 +192,21 @@ def _feature_sign_step(gamma: np.ndarray, sign: np.ndarray, active: np.ndarray,
     then keeps the lowest-objective point among the solution and the zero
     crossings on the segment to it. When no active coefficient crosses zero,
     the solution is the only point, and it is taken without the comparison.
+    A coefficient crosses when it is nonzero and the solution's sign differs
+    from its own, which is s_A: only a coordinate that has just joined has
+    an s_A without a coefficient.
     """
-    A = np.flatnonzero(active)
-    H_A = H[A[:, None], A]
-    rhs = c[A] - thr * sign[A]
+    A = active.nonzero()[0]
+    H_A = H.take(A, 0).take(A, 1)
+    s_A = sign.take(A)
+    rhs = c.take(A) - thr * s_A
     try:
         step = np.linalg.solve(H_A, rhs)
     except np.linalg.LinAlgError:  # collinear active columns with no ridge term
         step = np.linalg.lstsq(H_A, rhs, rcond=None)[0]
-    cur = gamma[A]
+    cur = gamma.take(A)
     target = cur + step
-    flips = np.flatnonzero((cur != 0.0) & (np.sign(target) != np.sign(cur)))
+    flips = ((cur != 0.0) & (np.sign(target) != s_A)).nonzero()[0]
     best = target
     if flips.size:
         t = cur[flips] / (cur[flips] - target[flips])

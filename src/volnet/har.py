@@ -155,16 +155,17 @@ def own_ols(pm: PanelMoments, assets: Sequence[str | None]) -> np.ndarray:
 
     The normal equations are solved once, then refined by one step on the
     residuals of the centred rows, which takes back most of what forming the
-    cross-product costs in accuracy. The blocks are formed per asset (one
-    batched product each) rather than read off S, so an asset gets the same
-    bits alone (`fit_har_ols`) as in a panel. A feature column that is
+    cross-product costs in accuracy. The 3 x 3 blocks are formed per asset
+    rather than read off S, with an einsum whose every entry is one dot
+    product along M, summed the same way whatever K is, so an asset gets the
+    same bits alone (`fit_har_ols`) as in a panel. A feature column that is
     constant, or a block that is singular to working precision, is a
     RankDeficientDesign. Warns per asset whose persistence is >= 1.
     """
     K, M = pm.n_assets, pm.n_rows
     F = pm.centred[:3 * K].reshape(K, 3, M)  # asset k's centred features
     y = pm.centred[3 * K:]                   # K x M centred targets
-    S_oo = F @ F.transpose(0, 2, 1)          # K x 3 x 3
+    S_oo = np.einsum("kim,kjm->kij", F, F)   # K x 3 x 3
     var = np.diagonal(S_oo, axis1=1, axis2=2)
     norm2 = var + M * pm.mean[:3 * K].reshape(K, 3) ** 2  # of the uncentred columns
     tol = M * np.finfo(float).eps

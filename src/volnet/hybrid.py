@@ -17,6 +17,7 @@ monthly); serialized models carry a version tag for this layout.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,8 +52,9 @@ class FitConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.lambda_grid is not None and (not self.lambda_grid or min(self.lambda_grid) < 0):
-            raise ValueError(f"lambda_grid must hold penalties >= 0, got {self.lambda_grid}")
+        if self.lambda_grid is not None and not (
+                self.lambda_grid and all(math.isfinite(v) and v >= 0 for v in self.lambda_grid)):
+            raise ValueError(f"lambda_grid must hold finite penalties >= 0, got {self.lambda_grid}")
         if self.grid_size < 1 or not 0.0 < self.grid_ratio <= 1.0:
             raise ValueError(f"lambda grid size must be >= 1 and ratio in (0, 1], "
                              f"got {self.grid_size} and {self.grid_ratio}")
@@ -117,7 +119,7 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     mu = pm.mean[:P]
     scale = np.sqrt(np.diagonal(S)[:P] / (M - 1))  # nonzero: own_ols rejects constant features
 
-    B = residual_map(coef[:, 1:])  # the cross coefficients join it below
+    B = residual_map(coef[:, 1:])  # the cross coefficients join it after the fits
     Xr = (S[:P] @ B) / scale[:, None]  # column i: X'r for asset i's OLS residual, scaled
     G = (S[:P, :P] + M * np.outer(mu, mu)) / np.outer(scale, scale)
 
@@ -129,28 +131,29 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     if fixed_lambdas is None:
         blocks = block_moments(pm.centred, cfg.cv_folds)
 
-    cross = np.zeros((K, K, 3))
+    coefs = np.empty((K, P - 3))  # row i: asset i's cross fit, in scaled units
     lambdas = np.zeros(K)
     for i in range(K):
-        kc = kc_all[i]
         stats = Moments(G_blocks[i], Xr_blocks[i], M)
         if fixed_lambdas is not None:
             lam = float(fixed_lambdas[i])
         else:
             grid = (np.asarray(cfg.lambda_grid, dtype=float) if cfg.lambda_grid is not None
                     else default_lambda_grid(stats, cfg.alpha, cfg.grid_size, cfg.grid_ratio))
+            kc = kc_all[i]
             design = np.zeros((4 * K + 1, P - 3))  # [Z_c, 1] -> X: the columns, then the means
             design[kc, np.arange(P - 3)] = 1.0
             design[-1] = mu[kc]
-            target = np.append(B[:, i], 0.0)  # before the cross coefficients join column i
+            target = np.append(B[:, i], 0.0)  # the OLS residual map: B has no cross terms yet
             cv = cross_validate_lambda(blocks, design, target, grid, cfg.alpha)
             lam = cv.selected_lambda
         lambdas[i] = lam
-        fit = fit_elastic_net(stats, PenaltySpec(lam, cfg.alpha))
-        c = fit.coef / scale[kc]
-        cross[i, k != i] = c.reshape(K - 1, 3)
-        B[kc, i] = -c
+        coefs[i] = fit_elastic_net(stats, PenaltySpec(lam, cfg.alpha)).coef
 
+    coefs /= scale[kc_all]
+    cross = np.zeros((K, K, 3))
+    cross[k[:, None] != k] = coefs.reshape(K * (K - 1), 3)  # row-major (i, j != i) pairs
+    B[kc_all, k[:, None]] = -coefs
     cov = (B.T @ S @ B) / (M - 1)
     cov = 0.5 * (cov + cov.T)
     return HybridModel(

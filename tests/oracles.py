@@ -5,7 +5,9 @@ of the coefficients, OLS runs through explicit normal equations, and
 quantiles are interpolated by hand on a sorted copy. Only the row-based
 cross-validation calls volnet's solver: it fits each fold's scaled rows, so
 it checks the block-moment arithmetic around the solver in
-`cross_validate_lambda`, not the solver itself.
+`cross_validate_lambda`, not the solver itself. The solver's own loop has a
+reference here too, `feature_sign_search`: the same iteration written
+plainly, which the package's faster loop must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from volnet.elastic_net import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     CvResult,
+    ElasticNetFit,
     Moments,
     PenaltySpec,
     _column_scales,
@@ -108,6 +111,40 @@ def feature_sign_step_segment_search(gamma: np.ndarray, sign: np.ndarray, active
     sign[A] = np.sign(best)
     active[A] = best != 0.0
     return int(flips.size)
+
+
+def feature_sign_search(stats: Moments, pen: PenaltySpec, tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER,
+                        warm_start: np.ndarray | None = None) -> ElasticNetFit:
+    """Feature-sign search as one plain loop, the reference for
+    `fit_elastic_net`: the Hessian G + lam(1-alpha)I formed up front with an
+    identity, the KKT conditions checked on every iteration from the first
+    (so a zero solution costs one iteration like any other certificate), and
+    every step a full segment search. It does not warn when it stops at
+    max_iter; `converged` says so."""
+    M, P = stats.n, len(stats.xty)
+    if P == 0:
+        return ElasticNetFit(np.empty(0), 0, True)
+    q = (2.0 / M) * stats.xty
+    H = (2.0 / M) * stats.xtx + pen.lam * (1.0 - pen.alpha) * np.eye(P)
+    thr = pen.lam * pen.alpha
+    gamma = np.zeros(P) if warm_start is None else np.array(warm_start, dtype=float)
+    sign = np.sign(gamma)
+    active = gamma != 0.0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        c = q - H @ gamma
+        if not np.any(np.abs(c - thr * sign)[active] > tol):
+            excess = np.where(active, -np.inf, np.abs(c) - thr)
+            j = int(np.argmax(excess))
+            if excess[j] <= tol:
+                converged = True
+                break
+            active[j] = True
+            sign[j] = np.sign(c[j])
+        feature_sign_step_segment_search(gamma, sign, active, H, c, q, thr)
+    return ElasticNetFit(gamma, it, converged)
 
 
 def cross_validate_rows(X: np.ndarray, y: np.ndarray, grid: np.ndarray,

@@ -92,6 +92,9 @@ def test_config_validation():
         BootstrapConfig(replications=0)
     with pytest.raises(ValueError):
         BootstrapConfig(ci_level=1.0)
+    for n_jobs in (0, -3):  # these used to run serially, a setting silently ignored
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            BootstrapConfig(n_jobs=n_jobs)
 
 
 def test_identity_bootstrap_collapses_band(boot_panel, boot_model):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from oracles import (
     cross_validate_via_blocks,
     enet_objective,
     enet_projected_gradient,
+    feature_sign_search,
     feature_sign_step_segment_search,
     row_block_moments,
     soft_threshold,
@@ -79,6 +81,19 @@ def test_penalty_spec_validation():
         PenaltySpec(-0.1)
     with pytest.raises(ValueError):
         PenaltySpec(1.0, alpha=1.5)
+    for lam in (np.nan, np.inf):  # NaN used to run 10 000 iterations to NaN
+        with pytest.raises(ValueError, match="finite"):
+            PenaltySpec(lam)
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (3,), (5,), ()])
+@pytest.mark.parametrize("lam", [0.05, 1e6])
+def test_a_warm_start_of_another_shape_is_refused(shape, lam):
+    # at 1e6 the zero solution is certified from q alone, so a zero start of
+    # the wrong length must be refused before that shortcut
+    stats, _ = scaled_moments(*random_problem(71))
+    with pytest.raises(ValueError, match=re.escape(f"warm start has shape {shape}, expected (4,)")):
+        fit_elastic_net(stats, PenaltySpec(lam), warm_start=np.zeros(shape))
 
 
 def test_lambda_zero_matches_ols():
@@ -541,3 +556,51 @@ def test_feature_sign_step_matches_the_segment_search_bit_for_bit(monkeypatch):
     # both kinds of step were taken: with zero crossings and without
     assert sum(n > 0 for n in crossings) > 50
     assert sum(n == 0 for n in crossings) > 50
+
+
+@st.composite
+def _solver_problems(draw):
+    """Scaled sufficient statistics with P from 1 to 20, a penalty from above
+    the zero solution down to near least squares, and a start: cold, all zero
+    (of either sign), random signs the path must cross, or the fit at a
+    larger penalty. A duplicated column with no ridge term, started with both
+    copies active, meets a singular block and takes the lstsq branch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = draw(st.integers(1, 20))
+    M = draw(st.integers(max(2, P // 2), 120))
+    mix = np.eye(P) + rng.uniform(-0.9, 0.9, (P, P)) * (rng.random((P, P)) < 0.4)
+    X = rng.standard_normal((M, P)) @ mix  # correlated columns make paths cross zero
+    y = X @ (rng.standard_normal(P) * (rng.random(P) < 0.6)) + rng.standard_normal(M)
+    collinear = P > 1 and draw(st.booleans())
+    if collinear:
+        X[:, 1] = X[:, 0]
+    stats, _ = scaled_moments(X, y)
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
+    lam = lambda_max(stats, alpha) * 10.0 ** draw(st.floats(-6.0, 0.5))
+    start = draw(st.sampled_from(["cold", "zero", "signs", "path"]))
+    if collinear:
+        alpha = draw(st.sampled_from([1.0, alpha]))
+        lam = 0.0 if alpha < 1.0 else lam
+        start = "collinear"
+    pen = PenaltySpec(lam, alpha)
+    warm = {"cold": lambda: None,
+            "zero": lambda: np.zeros(P) * draw(st.sampled_from([1.0, -1.0])),
+            "signs": lambda: rng.standard_normal(P) * 3.0 * (rng.random(P) < 0.7),
+            "path": lambda: feature_sign_search(stats, PenaltySpec(3.0 * lam, alpha),
+                                                max_iter=200).coef,
+            "collinear": lambda: np.r_[0.7, 0.4, rng.standard_normal(P - 2)]}[start]()
+    return stats, pen, warm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_solver_problems())
+def test_solver_matches_the_reference_loop_bit_for_bit(problem):
+    # the zero-solution shortcut, the in-place ridge and the leaner loop must
+    # keep the reference loop's bits, iteration count and convergence flag
+    stats, pen, warm = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DidNotConvergeWarning)
+        fit = fit_elastic_net(stats, pen, max_iter=200, warm_start=warm)
+    ref = feature_sign_search(stats, pen, max_iter=200, warm_start=warm)
+    assert fit.coef.tobytes() == ref.coef.tobytes()
+    assert (fit.n_sweeps, fit.converged) == (ref.n_sweeps, ref.converged)

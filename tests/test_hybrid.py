@@ -256,6 +256,12 @@ def test_model_rejects_fields_of_another_shape(field, value):
             HarModelSet(("A", "B"), value)
 
 
+@pytest.mark.parametrize("grid", [(np.nan,), (np.inf,), (0.1, np.nan), (0.05, -np.inf), (-0.1,)])
+def test_fit_config_refuses_a_penalty_that_is_not_finite_and_nonnegative(grid):
+    with pytest.raises(ValueError, match="lambda_grid must hold finite penalties >= 0"):
+        FitConfig(lambda_grid=grid)
+
+
 def test_model_rejects_nonzero_self_entries():
     cross = np.zeros((2, 2, 3))
     cross[1, 1, 2] = 0.1
