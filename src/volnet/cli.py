@@ -92,14 +92,14 @@ def _fmt(x: float) -> str:
 
 
 def _load_model(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
 
 
 def _load_groups(path: str, assets: Sequence[str]) -> list[jirf.ShockGroup]:
     """Shock groups from a JSON object mapping each group name, one CSV cell,
     to a non-empty list of distinct asset names, all of them in `assets`."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not data:
         raise InvalidConfig("groups file must map group name -> asset list")
@@ -177,11 +177,14 @@ def cmd_rv(args) -> int:
         raise InvalidConfig(str(exc)) from None
     data_dir = Path(args.data_dir)
     if args.assets:
-        assets = [a.strip() for a in args.assets.split(",") if a.strip()]
+        assets = [a.strip() for a in args.assets.split(",")]
     else:
         assets = sorted(p.stem for p in data_dir.glob("*.csv"))
     if not assets:
         raise InvalidConfig(f"no asset CSVs found under {data_dir}")
+    bad = next((a for a in assets if not rv.is_csv_name(a)), None)
+    if bad is not None:  # the name heads a column of the RV file
+        raise InvalidConfig(f"asset name {bad!r} is blank or holds , \" or a line break")
     repeated = sorted({a for a in assets if assets.count(a) > 1})
     if repeated:
         raise InvalidConfig(f"--assets names {', '.join(repeated)} more than once")
@@ -306,7 +309,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec) as fh:
+    with open(args.spec, encoding="utf-8") as fh:
         spec_dict = json.load(fh)
     spec = synthetic.spec_from_dict(spec_dict)
     panel = synthetic.generate_synthetic_panel(spec)
@@ -326,7 +329,7 @@ def cmd_report(args) -> int:
     model = _load_model(args.model)
     groups = _load_groups(args.groups, model.assets) if args.groups else []
     if args.bands:
-        bands_text = Path(args.bands).read_text()
+        bands_text = Path(args.bands).read_text(encoding="utf-8")
         _check_bands(bands_text, model.assets)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

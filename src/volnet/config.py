@@ -102,7 +102,7 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -125,44 +125,14 @@ def _cells(line: str) -> list[str] | None:
     return cells if reader.line_num == 1 else None
 
 
-def load_ohlc_csv(path: str | Path, asset: str | None = None) -> OhlcSeries:
-    """Parse one asset's OHLC CSV, validate every bar, and sort by date.
-
-    The first line is the header, read as CSV: the columns date, open, high,
-    low and close, matched case-insensitively after stripping spaces, in any
-    order and among any others; a missing one raises MissingColumn. Every
-    later line with a cell that is not blank is a bar, its cells split as
-    the csv module splits them; a quoted cell must close on its own line.
-    Line numbers count the file's lines from 1 at the header.
-
-    The file is read once. The dates are parsed with date.fromisoformat
-    after stripping, and the four price columns of all bars as one float
-    block by np.loadtxt. Lines are re-parsed one at a time only when the
-    block does not parse, to find the first one that fails. Every bar is
-    then checked against the bar rule (`bar_defect`) as arrays, and the
-    first defective line in file order decides the error: UnparseableRow
-    with its line number for a line too short, a bad date or a non-numeric
-    price, or PriceInvariantViolation with its date for a non-finite or
-    non-positive price or high/low that do not bracket open/close. A file
-    with no bar raises SeriesTooShort. Bars are then sorted by one stable
-    argsort of their dates, and a date on two lines raises DuplicateDate.
-    Every error's message starts with the file's path.
-    """
-    path = Path(path)
-    if asset is None:
-        asset = path.stem
-    with open(path) as fh:
-        text = fh.read()
-    if not text:
-        raise MissingColumn(f"{path}: empty file")
-    header, *lines = text.split("\n")
-    col_idx = {name.strip().lower(): i for i, name in enumerate(next(csv.reader([header]), []))}
-    for name in REQUIRED_COLUMNS:
-        if name not in col_idx:
-            raise MissingColumn(f"{path}: no column {name!r}")
-    date_col, *price_cols = (col_idx[name] for name in REQUIRED_COLUMNS)
+def _first_defect(path: Path, lines: Sequence[str], date_col: int, price_cols: Sequence[int]
+                  ) -> tuple[list[dt.date], np.ndarray, UnparseableRow | None]:
+    """The bars before the first line in file order whose cells do not parse
+    (too few, a bad date, a non-numeric price or an unclosed quote), as their
+    dates and a len x 4 price array, and the UnparseableRow that names that
+    line, or None when every line parses. Lines whose cells are all blank
+    are skipped; a file with none left raises SeriesTooShort."""
     width = max(date_col, *price_cols) + 1
-
     cells = list(map(_cells, lines))
     body = [i for i, row in enumerate(cells) if row is None or any(map(str.strip, row))]
     if not body:
@@ -184,19 +154,78 @@ def load_ohlc_csv(path: str | Path, asset: str | None = None) -> OhlcSeries:
                  if parse_values([line], 4, price_cols, quotechar='"') is None)
         dates = dates[:n]
         values = parse_values(bar_lines[:n], 4, price_cols, quotechar='"')
+    if n == len(rows):
+        return dates, values, None
+    row = rows[n]
+    return dates, values, UnparseableRow(
+        body[n] + 2, "a quoted cell does not close on its line" if row is None
+        else f"{len(row)} fields, need {width}" if len(row) < width
+        else f"bad date {row[date_col].strip()!r}" if not is_iso_date(row[date_col].strip())
+        else f"non-numeric price in {bar_lines[n]!r}", path=path)
+
+
+def load_ohlc_csv(path: str | Path, asset: str | None = None) -> OhlcSeries:
+    """Parse one asset's OHLC CSV, validate every bar, and sort by date.
+
+    The file is read as UTF-8, a leading byte-order mark dropped. The first
+    line is the header, read as CSV: the columns date, open, high, low and
+    close, matched case-insensitively after stripping spaces, in any order
+    and among any others; a missing one raises MissingColumn. Every later
+    line with a cell that is not blank is a bar, its cells split as the csv
+    module splits them; a quoted cell must close on its own line. Line
+    numbers count the file's lines from 1 at the header.
+
+    The file is read once and parsed as one block: each line's date cell is
+    cut off at the commas before and after it and parsed with
+    date.fromisoformat after stripping, and the four price columns of all
+    lines are parsed as one float array by np.loadtxt. Lines are split into
+    cells (`_cells`) only when the file holds a quote, or when some line of
+    the block is blank, too short, or holds a bad date or a non-numeric
+    price; then they are parsed one at a time, to find the first that fails.
+    Every bar is checked against the bar rule (`bar_defect`) as arrays, and
+    the first defective line in file order decides the error: UnparseableRow
+    with its line number for a line too short, a bad date or a non-numeric
+    price, or PriceInvariantViolation with its date for a non-finite or
+    non-positive price or high/low that do not bracket open/close. A file
+    with no bar raises SeriesTooShort. Bars are then sorted by one stable
+    argsort of their dates, and a date on two lines raises DuplicateDate.
+    Every error's message starts with the file's path.
+    """
+    path = Path(path)
+    if asset is None:
+        asset = path.stem
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    if not text:
+        raise MissingColumn(f"{path}: empty file")
+    header, *lines = text.split("\n")
+    col_idx = {name.strip().lower(): i for i, name in enumerate(next(csv.reader([header]), []))}
+    for name in REQUIRED_COLUMNS:
+        if name not in col_idx:
+            raise MissingColumn(f"{path}: no column {name!r}")
+    date_col, *price_cols = (col_idx[name] for name in REQUIRED_COLUMNS)
+
+    values = error = None
+    if lines and not lines[-1]:
+        lines.pop()  # what follows the file's last line break
+    if lines and '"' not in text:
+        try:
+            heads = [line.split(",", date_col + 1)[date_col] for line in lines]
+            dates = list(map(dt.date.fromisoformat, map(str.strip, heads)))
+        except (IndexError, ValueError):  # a line too short, blank or with a bad date
+            pass
+        else:
+            values = parse_values(lines, 4, price_cols)
+    if values is None:
+        dates, values, error = _first_defect(path, lines, date_col, price_cols)
 
     defect = bar_defect(*values.T)
     if defect:
         raise PriceInvariantViolation(dates[defect[0]], defect[1], path=path)
-    if n < len(rows):
-        row = rows[n]
-        raise UnparseableRow(body[n] + 2, "a quoted cell does not close on its line" if row is None
-                             else f"{len(row)} fields, need {width}" if len(row) < width
-                             else f"bad date {row[date_col].strip()!r}"
-                             if not is_iso_date(row[date_col].strip())
-                             else f"non-numeric price in {bar_lines[n]!r}", path=path)
+    if error is not None:
+        raise error
 
-    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=n)
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
     order = np.argsort(ordinals, kind="stable")
     repeats = np.flatnonzero(np.diff(ordinals[order]) == 0)
     if repeats.size:

@@ -165,7 +165,7 @@ def read_rv_csv(path: str | Path) -> RvPanel:
     non-numeric or non-finite value) or DatesNotIncreasing, naming the line
     of the file.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     start = next((i for i, line in enumerate(lines) if _is_row(line)), None)
     if start is None:

@@ -241,7 +241,7 @@ def load_ohlc_rows(path, asset: str) -> OhlcSeries:
     the bar rule per row, so the first defective row in file order raises;
     then a sort by date and a scan for a repeated date. Every error names
     the file."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -177,6 +177,26 @@ def test_rv_rejects_repeated_assets(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stem, assets", [
+    ("E,S", None),           # a file stem holding the delimiter
+    ("CL", "CL,,NG"),        # a blank entry
+    ("CL", 'CL,N"G'),        # a quote
+    ("CL", "CL,N\nG"),       # a line break
+    ("CL", "CL,N\rG"),
+])
+def test_rv_refuses_an_asset_name_that_is_not_one_csv_cell(tmp_path, capsys, stem, assets):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ohlc_csv(data / f"{stem}.csv", 60, seed=1)
+    out = tmp_path / "rv.csv"
+    argv = ["rv", "--data-dir", str(data), "--out", str(out)]
+    assert main(argv + (["--assets", assets] if assets else [])) == 1
+    err = capsys.readouterr().err
+    # refused by name before any file is read: NG.csv does not exist
+    assert err.startswith("volnet: code=InvalidConfig") and "asset name" in err
+    assert not out.exists()
+
+
 def test_fit_rejects_an_rv_file_that_repeats_an_asset(tmp_path, capsys):
     path = tmp_path / "rv.csv"
     path.write_text("# config=abc\ndate,A,B,A\n" + "".join(

@@ -408,3 +408,44 @@ def test_quoted_cell_must_close_on_its_line(tmp_path):
     with pytest.raises(UnparseableRow, match="does not close") as exc:
         load_ohlc_csv(f)
     assert exc.value.line_number == 3
+
+
+def _no_cells(line):
+    raise AssertionError(f"a line of a clean file was split into cells: {line!r}")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("header, rows", [
+    ("date,open,high,low,close", GOOD),
+    ("Volume,Close,Date,High,Low,Open ", [" 7,102 ,2020-01-03 ,103,100,101", "8,101,2020-01-01,102,99,100",
+                                          "9,100.5,\t2020-01-02,102,100,101"]),
+])
+def test_a_clean_unquoted_file_is_parsed_as_one_block(tmp_path, monkeypatch, newline, header, rows):
+    f = tmp_path / "x.csv"
+    f.write_bytes(newline.join([header, *rows, ""]).encode())
+    want = load_ohlc_rows(f, "X")
+    monkeypatch.setattr("volnet.ingest._cells", _no_cells)
+    _assert_same_series(load_ohlc_csv(f, "X"), want)
+    assert len(want) == 3
+
+
+@pytest.mark.parametrize("rows, line_number", [
+    (GOOD[:2] + ["", "2020-01-04,1,x,1,1"], 5),     # a blank line, then a non-numeric price
+    (GOOD[:1] + ["2020-01-04,1,1,1"] + GOOD[1:], 3),  # a line too short
+    (GOOD + [" 2020-1-4,1,1,1,1"], 5),               # a bad date
+])
+def test_a_defect_in_the_block_is_named_as_the_row_oracle_names_it(tmp_path, rows, line_number):
+    f = tmp_path / "x.csv"
+    f.write_bytes("\r\n".join(["date,open,high,low,close", *rows, ""]).encode())
+    for load in (load_ohlc_csv, load_ohlc_rows):
+        with pytest.raises(UnparseableRow) as exc:
+            load(f, "X")
+        assert exc.value.line_number == line_number
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "\n".join(["date,open,high,low,close", *GOOD, ""])
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(text.encode("utf-8-sig"))
+    _assert_same_series(load_ohlc_csv(marked, "X"), load_ohlc_csv(plain, "X"))

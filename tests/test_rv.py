@@ -232,6 +232,9 @@ def test_csv_reader_skips_comments_and_blank_lines(tmp_path):
     "# config=abc\r\ndate,A,B\r\n2020-01-02,0.2,0.3\r\n2020-01-03,1e-3,0.25",
     "date,A,B\n2020-01-02,0.2,0.3\n2020-01-03,1e-3,0.25\n",
     "date,A,B\n2020-01-02,0.2,0.3\n2020-01-03,1e-3,0.25",
+    # a leading byte-order mark, before the header and before a comment
+    "\ufeffdate,A,B\n2020-01-02,0.2,0.3\n2020-01-03,1e-3,0.25\n",
+    "\ufeff# config=abc\ndate,A,B\n2020-01-02,0.2,0.3\n2020-01-03,1e-3,0.25\n",
 ])
 def test_csv_reader_reads_any_line_ending_and_comments_anywhere(tmp_path, text):
     path = tmp_path / "rv.csv"
