@@ -17,13 +17,7 @@ from .elastic_net import (
     fit_elastic_net,
 )
 from .errors import VolnetError
-from .evaluate import (
-    ForecastReport,
-    build_forecast_report,
-    forecast_metrics,
-    rolling_forecast,
-    split_train_test,
-)
+from .evaluate import forecast_metrics, metric_table, rolling_forecast, split_train_test
 from .har import HarModelSet, fit_har_ols, fit_har_panel
 from .hybrid import (
     FitConfig,
@@ -32,8 +26,8 @@ from .hybrid import (
     fit_hybrid,
     spillover_network,
 )
-from .ingest import OhlcBar, OhlcPanel, OhlcSeries, align_panel, load_ohlc_csv
-from .jirf import JirfPath, ShockGroup, joint_shock, simulate_jirf
+from .ingest import OhlcPanel, OhlcSeries, align_panel, load_ohlc_csv
+from .jirf import ShockGroup, joint_shock, simulate_jirf
 from .rv import (
     RvPanel,
     RvSeries,
@@ -54,12 +48,11 @@ __all__ = [
     "CvResult", "ElasticNetFit", "PenaltySpec", "block_moments", "cross_validate_lambda",
     "default_lambda_grid", "fit_elastic_net",
     "VolnetError",
-    "ForecastReport", "build_forecast_report", "forecast_metrics",
-    "rolling_forecast", "split_train_test",
+    "forecast_metrics", "metric_table", "rolling_forecast", "split_train_test",
     "HarModelSet", "fit_har_ols", "fit_har_panel",
     "FitConfig", "HybridModel", "NetworkSummary", "fit_hybrid", "spillover_network",
-    "OhlcBar", "OhlcPanel", "OhlcSeries", "align_panel", "load_ohlc_csv",
-    "JirfPath", "ShockGroup", "joint_shock", "simulate_jirf",
+    "OhlcPanel", "OhlcSeries", "align_panel", "load_ohlc_csv",
+    "ShockGroup", "joint_shock", "simulate_jirf",
     "RvPanel", "RvSeries", "YzConfig", "read_rv_csv",
     "rv_csv_text", "yang_zhang_panel", "yang_zhang_rv", "yz_weight",
     "adf_test", "kpss_test",

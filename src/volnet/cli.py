@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bootstrap as boot
 from . import evaluate, ingest, jirf, rv, stationarity, synthetic
-from .config import RunConfig, config_hash, load_config
+from .config import RunConfig, config_hash, load_config, read_json
 from .errors import InvalidConfig, VolnetError, WindowTooSmall
 from .har import fit_har_panel
 from .hybrid import (
@@ -92,15 +92,13 @@ def _fmt(x: float) -> str:
 
 
 def _load_model(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))
 
 
 def _load_groups(path: str, assets: Sequence[str]) -> list[jirf.ShockGroup]:
     """Shock groups from a JSON object mapping each group name, one CSV cell,
     to a non-empty list of distinct asset names, all of them in `assets`."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict) or not data:
         raise InvalidConfig("groups file must map group name -> asset list")
     for name, members in data.items():
@@ -189,17 +187,10 @@ def cmd_rv(args) -> int:
     if repeated:
         raise InvalidConfig(f"--assets names {', '.join(repeated)} more than once")
     series = [ingest.load_ohlc_csv(data_dir / f"{a}.csv", asset=a) for a in assets]
-    panel = ingest.align_panel(series)
-    per_asset = [rv.yang_zhang_rv(s, cfg) for s in panel.series]
+    out = rv.yang_zhang_panel(ingest.align_panel(series), cfg)
     h = config_hash({"cmd": "rv", "assets": assets, "window": args.window,
                      "annualization": args.annualization})
-    comments = [f"config={h}"]
-    clamped = sum(r.n_clamped for r in per_asset)
-    if clamped:
-        comments.append(f"clamped_windows={clamped}")
-    out = rv.RvPanel(per_asset[0].dates, panel.assets,
-                     np.column_stack([r.values for r in per_asset]))
-    _atomic_write(args.out, rv.rv_csv_text(out, comments))
+    _atomic_write(args.out, rv.rv_csv_text(out, [f"config={h}"]))
     return 0
 
 
@@ -225,11 +216,11 @@ def cmd_forecast(args) -> int:
     rows = []
     for label, model in (("hybrid", hybrid_model), ("har", har_model)):
         fc = evaluate.rolling_forecast(model, panel, test_start)
-        report = evaluate.build_forecast_report(label, panel, fc, test_start)
-        for asset, m in zip(report.assets, report.metrics):
-            rows.append(f"{label},{asset},{_fmt(m.rmse)},{_fmt(m.mae)},{_fmt(m.mape)}")
-        rows.append(f"{label},AVERAGE,{_fmt(report.avg_rmse)},{_fmt(report.avg_mae)},"
-                    f"{_fmt(report.avg_mape)}")
+        table = evaluate.metric_table(panel, fc, test_start)
+        # np.mean of each column: table.mean(axis=0) sums in another order once K >= 8
+        for asset, metrics in zip((*panel.assets, "AVERAGE"),
+                                  (*table, [np.mean(col) for col in table.T])):
+            rows.append(f"{label},{asset}," + ",".join(map(_fmt, metrics)))
     h = config_hash({"cmd": "forecast", "split": args.split, **dataclasses.asdict(cfg.fit),
                      "assets": list(panel.assets)})
     _atomic_write(args.out, rv.csv_text([f"config={h}"], "model,asset,rmse,mae,mape", rows))
@@ -309,9 +300,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec_dict = json.load(fh)
-    spec = synthetic.spec_from_dict(spec_dict)
+    spec = synthetic.spec_from_dict(read_json(args.spec))
     panel = synthetic.generate_synthetic_panel(spec)
     h = config_hash({"cmd": "simulate", "spec": synthetic.spec_to_dict(spec)})
     _atomic_write(args.out, rv.rv_csv_text(panel, [f"config={h}"]))

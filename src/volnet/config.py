@@ -101,12 +101,26 @@ def config_from_dict(d: dict) -> RunConfig:
         raise InvalidConfig(str(exc)) from None
 
 
-def load_config(path: str) -> RunConfig:
+def read_json(path) -> object:
+    """The JSON value in the UTF-8 file at path. A key that appears twice in
+    one object raises InvalidConfig naming it, where json.load would keep the
+    last; malformed JSON raises json.JSONDecodeError."""
+    def unique(pairs: list) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise InvalidConfig(f"{path}: key {key!r} appears twice in one object")
+            out[key] = value
+        return out
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{path}: {exc}") from None
+        return json.load(fh, object_pairs_hook=unique)
+
+
+def load_config(path: str) -> RunConfig:
+    try:
+        data = read_json(path)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidConfig("config root must be a JSON object")
     return config_from_dict(data)

@@ -308,9 +308,7 @@ def _fold_scales(C: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def cross_validate_lambda(blocks: np.ndarray, design: np.ndarray, target: np.ndarray,
-                          grid: np.ndarray, alpha: float = 0.5,
-                          tol: float = DEFAULT_TOL,
-                          max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
+                          grid: np.ndarray, alpha: float = 0.5) -> CvResult:
     """Forward-chaining CV: fold k validates on block k, trains on blocks < k.
 
     The rows are never seen: `blocks` holds each row block's cross-product of
@@ -367,8 +365,7 @@ def cross_validate_lambda(blocks: np.ndarray, design: np.ndarray, target: np.nda
         v_rr = float(target @ val @ target)
         warm = None  # coefficients in scaled units
         for gi in order:
-            fit = fit_elastic_net(stats, PenaltySpec(grid[gi], alpha),
-                                  tol=tol, max_iter=max_iter, warm_start=warm)
+            fit = fit_elastic_net(stats, PenaltySpec(grid[gi], alpha), warm_start=warm)
             g = warm = fit.coef
             sse = v_rr - 2.0 * float(g @ v_xr) + float(g @ v_xx @ g)
             fold_mse[f, gi] = max(sse, 0.0) / val[-1, -1]

@@ -7,9 +7,7 @@ day. Metrics are RMSE, MAE, and MAPE (in percent).
 
 from __future__ import annotations
 
-import datetime as dt
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,40 +60,15 @@ def forecast_metrics(actual: np.ndarray, forecast: np.ndarray) -> tuple[float, f
     return rmse, mae, mape
 
 
-@dataclass(frozen=True)
-class AssetMetrics:
-    rmse: float
-    mae: float
-    mape: float
-
-
-@dataclass(frozen=True)
-class ForecastReport:
-    label: str
-    assets: tuple[str, ...]
-    metrics: tuple[AssetMetrics, ...]
-    avg_rmse: float
-    avg_mae: float
-    avg_mape: float
-    test_start: dt.date
-    test_end: dt.date
-
-
-def build_forecast_report(label: str, panel: RvPanel, forecast: np.ndarray,
-                          test_start: int) -> ForecastReport:
+def metric_table(panel: RvPanel, forecast: np.ndarray, test_start: int) -> np.ndarray:
+    """Per-asset (rmse, mae, mape) of forecasts for rows test_start.. of the
+    panel, as a K x 3 array; raises RuntimeError if an RMSE is below its MAE."""
     actual = panel.values[test_start:]
     if forecast.shape != actual.shape:
         raise LengthMismatch(f"forecast {forecast.shape} vs test block {actual.shape}")
-    per_asset = []
+    table = np.empty((panel.n_assets, 3))
     for i in range(panel.n_assets):
-        rmse, mae, mape = forecast_metrics(actual[:, i], forecast[:, i])
+        rmse, mae, mape = table[i] = forecast_metrics(actual[:, i], forecast[:, i])
         if rmse < mae - 1e-12 * (1.0 + mae):
             raise RuntimeError(f"{panel.assets[i]}: RMSE {rmse!r} below MAE {mae!r}: metric bug")
-        per_asset.append(AssetMetrics(rmse, mae, mape))
-    return ForecastReport(
-        label=label, assets=panel.assets, metrics=tuple(per_asset),
-        avg_rmse=float(np.mean([m.rmse for m in per_asset])),
-        avg_mae=float(np.mean([m.mae for m in per_asset])),
-        avg_mape=float(np.mean([m.mape for m in per_asset])),
-        test_start=panel.dates[test_start], test_end=panel.dates[-1],
-    )
+    return table

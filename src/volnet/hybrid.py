@@ -249,19 +249,29 @@ def _finite_array(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return a
 
 
+# model_to_dict's keys besides "schema" and "feature_order"
+_MODEL_FIELDS = ("assets", "lags", "alpha", "own", "cross", "selected_lambda", "residual_cov",
+                 "sample_start", "sample_end", "n_obs")
+
+
 def model_from_dict(d: dict) -> HybridModel:
     """Rebuild a model from model_to_dict output, checking every field it relies
-    on; a missing or malformed field raises InvalidConfig naming it."""
+    on; a missing, unknown or malformed field raises InvalidConfig naming it.
+    Besides model_to_dict's keys the top level may hold `config_hash`, which
+    `volnet fit` writes, and `seed_tail`, the last panel rows that older model
+    files carry; both are ignored."""
     if not isinstance(d, dict):
         raise InvalidConfig("model must be a JSON object")
     if d.get("schema") != MODEL_SCHEMA:
         raise InvalidConfig(f"unsupported model schema {d.get('schema')!r}")
     if d.get("feature_order") != FEATURE_ORDER_TAG:
         raise InvalidConfig(f"unsupported feature ordering {d.get('feature_order')!r}")
-    missing = [k for k in ("assets", "lags", "alpha", "own", "cross", "selected_lambda",
-                           "residual_cov", "sample_start", "sample_end", "n_obs") if k not in d]
+    missing = [k for k in _MODEL_FIELDS if k not in d]
     if missing:
         raise InvalidConfig(f"model has no {', '.join(missing)}")
+    unknown = set(d) - {"schema", "feature_order", "config_hash", "seed_tail", *_MODEL_FIELDS}
+    if unknown:
+        raise InvalidConfig(f"model has unknown keys: {sorted(unknown)}")
     assets, lags, alpha, own, n_obs = (d[k] for k in ("assets", "lags", "alpha", "own", "n_obs"))
     _check(isinstance(assets, list) and len(assets) > 0 and all(map(is_csv_name, assets))
            and len(set(assets)) == len(assets), "assets",
@@ -272,9 +282,10 @@ def model_from_dict(d: dict) -> HybridModel:
     _check(type(alpha) in (int, float) and 0.0 <= alpha <= 1.0, "alpha", "a number in [0, 1]",
            alpha)
     _check(type(n_obs) is int and n_obs >= 0, "n_obs", "an integer >= 0", n_obs)
-    _check(isinstance(own, list) and len(own) == K and all(isinstance(o, dict) for o in own),
-           "own", f"one coefficient object per asset ({K})", own)
-    own = _finite_array([[o.get(k) for k in OWN_KEYS] for o in own], "own", (K, 4))
+    _check(isinstance(own, list) and len(own) == K
+           and all(isinstance(o, dict) and set(o) == set(OWN_KEYS) for o in own),
+           "own", f"one object per asset ({K}) with exactly the keys {list(OWN_KEYS)}", own)
+    own = _finite_array([[o[k] for k in OWN_KEYS] for o in own], "own", (K, 4))
     cross = _finite_array(d["cross"], "cross", (K, K, 3))
     lambdas = _finite_array(d["selected_lambda"], "selected_lambda", (K,))
     _check(np.all(lambdas >= 0.0), "selected_lambda", "penalties >= 0", d["selected_lambda"])

@@ -53,20 +53,6 @@ def bar_defect(o, h, l, c) -> tuple[int, str] | None:
 
 
 @dataclass(frozen=True)
-class OhlcBar:
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-
-    def __post_init__(self):
-        defect = bar_defect(self.open, self.high, self.low, self.close)
-        if defect:
-            raise PriceInvariantViolation(self.date, defect[1])
-
-
-@dataclass(frozen=True)
 class OhlcSeries:
     asset: str
     dates: tuple[dt.date, ...]

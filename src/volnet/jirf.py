@@ -13,12 +13,11 @@ once, then runs one recursion whose state holds all R x G paths: each horizon
 is one einsum of the stacked lag operators (R x K x m*K, HybridModel.W) with
 the last m = max(lags) deviations of every path. The bootstrap passes its
 replicates through it in fixed-size batches; the full-sample paths,
-`jirf_for_groups`, `jirf_for_group`, `joint_shock` and `simulate_jirf` are
-one-model calls into the same code. einsum reduces every product in one
-fixed order, so a model's paths have the same bits whichever models and
-groups share its call. A model the kernel refuses gets the VolnetError that
-tracing it alone, group by group, raises first, and the rest of its batch is
-unaffected.
+`jirf_for_groups`, `joint_shock` and `simulate_jirf` are one-model calls
+into the same code. einsum reduces every product in one fixed order, so a
+model's paths have the same bits whichever models and groups share its call.
+A model the kernel refuses gets the VolnetError that tracing it alone, group
+by group, raises first, and the rest of its batch is unaffected.
 
 No Cholesky ordering is involved, and simulated values are never clamped
 inside the response computation (clamping would break linearity).
@@ -53,16 +52,6 @@ class ShockGroup:
             raise ValueError(f"shock group {self.name!r} has no members")
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"shock group {self.name!r} has duplicate members")
-
-
-@dataclass(frozen=True)
-class JirfPath:
-    shock_group: str
-    responses: np.ndarray  # (H+1) x K; row 0 is the applied shock vector
-
-    @property
-    def horizons(self) -> int:
-        return self.responses.shape[0] - 1
 
 
 def _member_index(group: ShockGroup, assets: Sequence[str]) -> list[int]:
@@ -202,13 +191,6 @@ def jirf_for_groups(model: HybridModel, groups: Sequence[ShockGroup],
     return paths[0]
 
 
-def jirf_for_group(model: HybridModel, group: ShockGroup,
-                   horizon: int = DEFAULT_HORIZON,
-                   condition_complement: bool = True) -> JirfPath:
-    return JirfPath(group.name,
-                    jirf_for_groups(model, [group], horizon, condition_complement)[0])
-
-
 def joint_shock(sigma: np.ndarray, group: ShockGroup, assets: Sequence[str],
                 condition_complement: bool = True) -> np.ndarray:
     """Shock vector for a simultaneous one-standard-deviation group shock
@@ -221,9 +203,10 @@ def joint_shock(sigma: np.ndarray, group: ShockGroup, assets: Sequence[str],
     return shock[0]
 
 
-def simulate_jirf(model: HybridModel, shock: np.ndarray, horizon: int = DEFAULT_HORIZON,
-                  label: str = "shock") -> JirfPath:
-    """Response paths over horizons 0..horizon for a given impact-day shock.
+def simulate_jirf(model: HybridModel, shock: np.ndarray,
+                  horizon: int = DEFAULT_HORIZON) -> np.ndarray:
+    """Responses over horizons 0..horizon to a given impact-day shock,
+    (horizon+1) x K; row 0 is the shock.
 
     Raises ExplosiveModel or NonFiniteSimulation (naming the first horizon
     with a non-finite value) as batch_jirf does.
@@ -237,4 +220,4 @@ def simulate_jirf(model: HybridModel, shock: np.ndarray, horizon: int = DEFAULT_
     paths, (error,) = _trace([model], shock[None, None], np.full((1, 1), np.nan), horizon)
     if error is not None:
         raise error
-    return JirfPath(label, paths[0, 0])
+    return paths[0, 0]

@@ -24,11 +24,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DatesNotIncreasing,
     MissingColumn,
+    PriceInvariantViolation,
     SeriesTooShort,
     UnparseableRow,
     WindowTooSmall,
 )
-from .ingest import OhlcPanel, OhlcSeries, is_iso_date, parse_values
+from .ingest import OhlcPanel, OhlcSeries, bar_defect, is_iso_date, parse_values
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class RvSeries:
     asset: str
     dates: tuple[dt.date, ...]
     values: np.ndarray
-    n_clamped: int = 0  # windows whose pre-sqrt sum was clamped at 0
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -88,9 +88,21 @@ def _rs_daily(series: OhlcSeries) -> np.ndarray:
 
 
 def yang_zhang_rv(series: OhlcSeries, cfg: YzConfig = YzConfig()) -> RvSeries:
+    """The series' RV, one value per date from its (window+1)-th on.
+
+    Every bar must pass the bar rule (`bar_defect`); the first that does not
+    raises PriceInvariantViolation with its date. On such bars each term of
+    the radicand is nonnegative: the two window variances, and each daily
+    Rogers-Satchell term, a sum of two products of logs of one sign
+    (ln(H/C), ln(H/O) >= 0 and ln(L/C), ln(L/O) <= 0), so it needs no clamp
+    before the square root.
+    """
     n = cfg.window
     if len(series) <= n:
         raise SeriesTooShort(f"{series.asset}: {len(series)} bars, need > {n}")
+    defect = bar_defect(series.open, series.high, series.low, series.close)
+    if defect:
+        raise PriceInvariantViolation(series.dates[defect[0]], f"{series.asset}: {defect[1]}")
     k = yz_weight(n)
 
     overnight = np.log(series.open[1:] / series.close[:-1])  # index t-1 holds ln(O_t/C_{t-1})
@@ -102,10 +114,8 @@ def yang_zhang_rv(series: OhlcSeries, cfg: YzConfig = YzConfig()) -> RvSeries:
     var_oc = np.var(sliding_window_view(open_close[1:], n), axis=1, ddof=1)
     mean_rs = np.mean(sliding_window_view(rs[1:], n), axis=1)
 
-    radicand = var_o + k * var_oc + (1.0 - k) * mean_rs
-    n_clamped = int(np.sum(radicand < 0))
-    values = np.sqrt(np.maximum(radicand, 0.0)) * np.sqrt(cfg.annualization)
-    return RvSeries(series.asset, series.dates[n:], values, n_clamped)
+    values = np.sqrt(var_o + k * var_oc + (1.0 - k) * mean_rs) * np.sqrt(cfg.annualization)
+    return RvSeries(series.asset, series.dates[n:], values)
 
 
 def yang_zhang_panel(panel: OhlcPanel, cfg: YzConfig = YzConfig()) -> RvPanel:

@@ -30,7 +30,7 @@ from volnet.elastic_net import (
     fit_elastic_net,
 )
 from volnet.errors import DuplicateDate, MissingColumn, PriceInvariantViolation, UnparseableRow
-from volnet.ingest import REQUIRED_COLUMNS, OhlcBar, OhlcSeries, bar_defect
+from volnet.ingest import REQUIRED_COLUMNS, OhlcSeries, bar_defect
 
 
 def enet_objective(X: np.ndarray, y: np.ndarray, g: np.ndarray,
@@ -276,15 +276,14 @@ def load_ohlc_rows(path, asset: str) -> OhlcSeries:
                       cols[:, 2], cols[:, 3])
 
 
-def ohlc_bar(series, i: int) -> OhlcBar:
-    """Day i of an OhlcSeries as a validated bar."""
-    return OhlcBar(series.dates[i], float(series.open[i]), float(series.high[i]),
-                   float(series.low[i]), float(series.close[i]))
+def ohlc_bar(series, i: int) -> tuple[float, float, float, float]:
+    """Day i of an OhlcSeries as its open, high, low and close."""
+    return (float(series.open[i]), float(series.high[i]), float(series.low[i]),
+            float(series.close[i]))
 
 
-def rogers_satchell_var(bar) -> float:
+def rogers_satchell_var(o: float, h: float, l: float, c: float) -> float:
     """Daily Rogers-Satchell variance: ln(H/C)ln(H/O) + ln(L/C)ln(L/O)."""
-    o, h, l, c = bar.open, bar.high, bar.low, bar.close
     return float(np.log(h / c) * np.log(h / o) + np.log(l / c) * np.log(l / o))
 
 

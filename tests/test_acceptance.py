@@ -23,7 +23,7 @@ from volnet.evaluate import forecast_metrics, rolling_forecast, split_train_test
 from volnet.har import PanelMoments, fit_har_panel, lag_means, own_ols
 from volnet.hybrid import FitConfig, fit_hybrid, spillover_network
 from volnet.ingest import OhlcSeries
-from volnet.jirf import ShockGroup, jirf_for_group, joint_shock, simulate_jirf
+from volnet.jirf import ShockGroup, jirf_for_groups, joint_shock, simulate_jirf
 from volnet.rv import YzConfig, yang_zhang_rv
 from volnet.stationarity import adf_test
 from volnet.synthetic import (
@@ -211,16 +211,16 @@ def test_jirf_linearity_and_decoupling():
     path = simulate_jirf(model, shock, 20)
     history_gap = max(
         float(np.max(np.abs(level_response(model.predict_one_step, hist, shock, 20)
-                            - path.responses)))
+                            - path)))
         for hist in (hist_a, hist_b))
 
     scaled = simulate_jirf(model, 3.5 * shock, 20)
-    scale_gap = float(np.max(np.abs(scaled.responses - 3.5 * path.responses)))
+    scale_gap = float(np.max(np.abs(scaled - 3.5 * path)))
 
     isolated = true_hybrid_model(replace(spec, cross=(),
                                          innovation_cov=np.diag([4e-4, 6e-4, 3e-4])))
-    solo = jirf_for_group(isolated, ShockGroup("solo", ("Y",)), 20)
-    others_zero = bool(np.all(solo.responses[:, [0, 2]] == 0.0))
+    solo = jirf_for_groups(isolated, [ShockGroup("solo", ("Y",))], 20)[0]
+    others_zero = bool(np.all(solo[:, [0, 2]] == 0.0))
 
     ok = history_gap <= 1e-10 and scale_gap <= 1e-10 and others_zero
     assert record(
@@ -256,7 +256,7 @@ def test_bootstrap_identity_and_coverage():
     same = block_resample(panel0, len(panel0), np.random.default_rng(77))
     identity_ok = bool(np.array_equal(same.values, panel0.values)) and same.dates == panel0.dates
 
-    truth = jirf_for_group(true_hybrid_model(base), group, horizon).responses
+    truth = jirf_for_groups(true_hybrid_model(base), [group], horizon)[0]
     hits = np.zeros(truth.shape, dtype=int)
     ordered = True
     for trial in range(100):

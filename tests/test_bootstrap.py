@@ -18,7 +18,7 @@ from volnet.errors import (
     VolnetError,
 )
 from volnet.hybrid import FitConfig, fit_hybrid
-from volnet.jirf import ShockGroup, jirf_for_group
+from volnet.jirf import ShockGroup, jirf_for_groups
 from volnet.rv import RvPanel
 from volnet.synthetic import PlantedEdge, SyntheticSpec, generate_synthetic_panel
 
@@ -138,7 +138,7 @@ def test_band_matches_manual_replication(boot_panel, boot_model):
         rng = np.random.default_rng([cfg.seed, r])
         sample = block_resample(boot_panel, cfg.block_length, rng)
         model = fit_hybrid(sample, FitConfig(), fixed_lambdas=LAMBDAS)
-        paths.append(np.stack([jirf_for_group(model, g, 5).responses for g in GROUPS]))
+        paths.append(jirf_for_groups(model, GROUPS, 5))
     stacked = np.stack(paths)
     tail = (1.0 - cfg.ci_level) / 2.0  # not the literal 0.025: ulps matter here
     np.testing.assert_array_equal(
@@ -180,7 +180,7 @@ def test_failed_replicates_counted_then_abort(boot_panel, boot_model, monkeypatc
 def test_point_model_passthrough(boot_panel, boot_model):
     cfg = BootstrapConfig(block_length=len(boot_panel), replications=3, seed=5)
     band = bootstrap_jirf(boot_panel, boot_model, GROUPS, cfg, horizon=6)
-    expected = np.stack([jirf_for_group(boot_model, g, 6).responses for g in GROUPS])
+    expected = jirf_for_groups(boot_model, GROUPS, 6)
     np.testing.assert_array_equal(band.point, expected)
 
 

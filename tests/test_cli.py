@@ -12,7 +12,7 @@ from volnet import cli, rv
 from volnet.cli import build_parser, main
 from volnet.config import config_from_dict, config_hash, load_config
 from volnet.errors import InvalidConfig
-from volnet.evaluate import build_forecast_report, rolling_forecast, split_train_test
+from volnet.evaluate import metric_table, rolling_forecast, split_train_test
 from volnet.har import fit_har_panel
 from volnet.hybrid import fit_hybrid
 from volnet.ingest import load_ohlc_csv
@@ -286,8 +286,8 @@ def test_forecast_output(workdir):
     for label, model in (("hybrid", fit_hybrid(train, fit_cfg)),
                          ("har", fit_har_panel(train, fit_cfg.lags))):
         fc = rolling_forecast(model, panel, len(train))
-        report = build_forecast_report(label, panel, fc, len(train))
-        want += [m.mape for m in report.metrics] + [report.avg_mape]
+        mape = metric_table(panel, fc, len(train))[:, 2]
+        want += [*mape.tolist(), np.mean(mape.tolist())]
     assert [float(line.split(",")[4]) for line in lines[1:]] == want
 
 
@@ -467,6 +467,32 @@ def test_malformed_model_json(workdir, tmp_path, capsys):
     assert main(["network", "--model", str(broken),
                  "--out", str(tmp_path / "n.csv")]) == 1
     assert "volnet: code=InvalidConfig model must be a JSON object" in capsys.readouterr().err
+
+
+# each file kind, with one key written twice: the command reading it, and
+# the file's text built from the workdir's copy
+REPEATED_KEY_CASES = {
+    "config": (lambda w: '{"alpha": 0.9, "alpha": 0.5}', "alpha",
+               lambda w, f: ["fit", "--rv", str(w["rv"]), "--config", f]),
+    "model": (lambda w: '{"n_obs": 1, ' + w["model"].read_text()[1:], "n_obs",
+              lambda w, f: ["network", "--model", f]),
+    "groups": (lambda w: '{"equity": ["A"], "equity": ["B"]}', "equity",
+               lambda w, f: ["jirf", "--model", str(w["model"]), "--groups", f]),
+    "spec": (lambda w: '{"seed": 1, ' + w["spec"].read_text()[1:], "seed",
+             lambda w, f: ["simulate", "--spec", f]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_KEY_CASES))
+def test_a_key_written_twice_in_a_json_file_is_refused(workdir, tmp_path, capsys, kind):
+    text, key, command = REPEATED_KEY_CASES[kind]
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(text(workdir))
+    out = tmp_path / "out"
+    assert main(command(workdir, str(bad)) + ["--out", str(out)]) == 1
+    assert (f"volnet: code=InvalidConfig {bad}: key {key!r} appears twice in one object"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def _set(key, index, value):

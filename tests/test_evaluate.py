@@ -12,8 +12,8 @@ from volnet.errors import (
     ZeroActualForMape,
 )
 from volnet.evaluate import (
-    build_forecast_report,
     forecast_metrics,
+    metric_table,
     rolling_forecast,
     split_train_test,
 )
@@ -149,18 +149,13 @@ def test_forecast_report_aggregates(two_asset_panel):
     t0 = len(train)
     model = fit_har_panel(train)
     fc = rolling_forecast(model, two_asset_panel, t0)
-    report = build_forecast_report("har", two_asset_panel, fc, t0)
-    assert report.label == "har"
-    assert report.assets == ("A", "B")
-    assert report.test_start == two_asset_panel.dates[t0]
-    assert report.test_end == two_asset_panel.dates[-1]
-    assert report.avg_rmse == pytest.approx(np.mean([m.rmse for m in report.metrics]))
-    assert report.avg_mape == pytest.approx(np.mean([m.mape for m in report.metrics]))
-    for i, m in enumerate(report.metrics):
-        want = forecast_metrics(two_asset_panel.values[t0:, i], fc[:, i])
-        assert (m.rmse, m.mae, m.mape) == want
+    table = metric_table(two_asset_panel, fc, t0)
+    assert table.shape == (2, 3)
+    for i, row in enumerate(table.tolist()):
+        assert tuple(row) == forecast_metrics(two_asset_panel.values[t0:, i], fc[:, i])
+    assert np.all(table[:, 0] >= table[:, 1])  # RMSE >= MAE
     with pytest.raises(LengthMismatch):
-        build_forecast_report("har", two_asset_panel, fc[:-1], t0)
+        metric_table(two_asset_panel, fc[:-1], t0)
 
 
 def test_report_rejects_rmse_below_mae(monkeypatch):
@@ -168,7 +163,7 @@ def test_report_rejects_rmse_below_mae(monkeypatch):
     panel = flat_panel(10)
     monkeypatch.setattr(evaluate, "forecast_metrics", lambda actual, fc: (0.1, 0.2, 5.0))
     with pytest.raises(RuntimeError, match="RMSE .* below MAE"):
-        evaluate.build_forecast_report("har", panel, np.full((5, 1), 0.2), 5)
+        evaluate.metric_table(panel, np.full((5, 1), 0.2), 5)
 
 
 def test_metric_identities():

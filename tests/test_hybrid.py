@@ -278,6 +278,20 @@ def test_model_from_dict_rejects_unknown_layout(two_asset_panel):
     assert model_to_dict(model)["feature_order"] == FEATURE_ORDER_TAG
 
 
+def test_model_from_dict_refuses_keys_it_does_not_read(two_asset_panel):
+    payload = model_to_dict(fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3)))
+    payload["config_hash"] = "0123456789ab"  # written by `volnet fit`
+    model_from_dict(payload)
+    with pytest.raises(InvalidConfig, match=r"model has unknown keys: \['surprise'\]"):
+        model_from_dict({**payload, "surprise": 1})
+    mistyped = dict(payload["own"][0])
+    mistyped["beta_dd"] = mistyped.pop("beta_d")
+    extra = {**payload["own"][0], "beta_dd": 0.0}
+    for record in (mistyped, extra):
+        with pytest.raises(InvalidConfig, match="model own must be one object per asset"):
+            model_from_dict({**payload, "own": [record, payload["own"][1]]})
+
+
 @pytest.mark.parametrize("field, index, value", [
     ("cross", (0, 1, 0), "0.1"), ("cross", (1, 0, 2), True), ("selected_lambda", (0,), "0.001"),
     ("selected_lambda", (1,), True), ("residual_cov", (1, 1), "1e-4"), ("own", (0, "beta_w"), True),

@@ -14,7 +14,7 @@ from volnet.errors import (
     SeriesTooShort,
     UnparseableRow,
 )
-from volnet.ingest import REQUIRED_COLUMNS, OhlcBar, OhlcSeries, align_panel, load_ohlc_csv
+from volnet.ingest import REQUIRED_COLUMNS, OhlcSeries, align_panel, bar_defect, load_ohlc_csv
 
 from conftest import make_dates
 from oracles import load_ohlc_rows
@@ -102,10 +102,6 @@ def test_load_errors_name_the_file(tmp_path, header, rows, error, attr, value):
     if attr:
         assert getattr(exc.value, attr) == value
 
-def bar(date, o=100.0, h=102.0, l=99.0, c=101.0):
-    return OhlcBar(date, o, h, l, c)
-
-
 def series_for(asset, dates):
     n = len(dates)
     base = np.full(n, 100.0)
@@ -156,9 +152,10 @@ def test_align_length_bounded_and_order_preserved():
     assert p.assets == ("C", "A", "B")
 
 
-def test_bar_invariant_checked_at_construction():
-    with pytest.raises(PriceInvariantViolation):
-        OhlcBar(dt.date(2020, 1, 1), 100.0, 100.5, 99.0, 101.0)  # high < close
+def test_bar_defect_flags_high_below_close():
+    assert bar_defect(100.0, 100.5, 99.0, 101.0) == (0, "high/low does not bracket open/close")
+    assert bar_defect([100.0, 100.0], [102.0, 100.5], [99.0, 99.0], [101.0, 101.0]) \
+        == (1, "high/low does not bracket open/close")
 
 
 # ties, non-positive and non-finite values come up often enough to probe the boundaries
@@ -171,14 +168,12 @@ _PRICES = (st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, math.inf, -math.inf, math.
 def test_bar_accepted_exactly_when_positive_and_bracketed(o, h, l, c):
     finite = all(map(math.isfinite, (o, h, l, c)))
     valid = finite and min(o, h, l, c) > 0 and l <= min(o, c) and h >= max(o, c)
+    defect = bar_defect(o, h, l, c)
     if valid:
-        bar = OhlcBar(dt.date(2020, 1, 1), o, h, l, c)
-        assert (bar.open, bar.high, bar.low, bar.close) == (o, h, l, c)
+        assert defect is None
     else:
-        with pytest.raises(PriceInvariantViolation) as exc:
-            OhlcBar(dt.date(2020, 1, 1), o, h, l, c)
-        assert exc.value.date == dt.date(2020, 1, 1)
-        assert ("non-finite price" in str(exc.value)) == (not finite)
+        assert defect is not None and defect[0] == 0
+        assert (defect[1] == "non-finite price") == (not finite)
 
 
 # --- the block loader against the row-at-a-time oracle ---

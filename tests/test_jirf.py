@@ -9,9 +9,8 @@ from volnet.errors import ExplosiveModel, NonFiniteSimulation, SingularSubmatrix
 from volnet.hybrid import HybridModel
 from volnet.jirf import (
     DEFAULT_HORIZON,
-    JirfPath,
     ShockGroup,
-    jirf_for_group,
+    jirf_for_groups,
     joint_shock,
     simulate_jirf,
 )
@@ -89,9 +88,8 @@ def test_horizon_zero_is_the_shock_itself():
     model = make_model()
     shock = np.array([0.02, 0.0, 0.01])
     path = simulate_jirf(model, shock, horizon=0)
-    assert path.responses.shape == (1, 3)
-    np.testing.assert_array_equal(path.responses[0], shock)
-    assert path.horizons == 0
+    assert path.shape == (1, 3)
+    np.testing.assert_array_equal(path[0], shock)
 
 
 def test_hand_iterated_three_steps():
@@ -115,7 +113,7 @@ def test_hand_iterated_three_steps():
     for _ in range(3):
         expected.append(step(levels[-3:]))
         levels = np.vstack([levels, expected[-1][None, :]])
-    np.testing.assert_allclose(path.responses, np.array(expected), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(path, np.array(expected), rtol=1e-12, atol=1e-15)
 
 
 def test_seed_history_does_not_matter():
@@ -125,7 +123,7 @@ def test_seed_history_does_not_matter():
     model = make_model(cross=cross)
     shock = np.array([0.03, 0.0, 0.0])
     rng = np.random.default_rng(5)
-    got = simulate_jirf(model, shock, horizon=20).responses
+    got = simulate_jirf(model, shock, horizon=20)
     for history in (rng.random((3, 3)), 10.0 * rng.random((5, 3))):
         levels = level_response(model.predict_one_step, history, shock, horizon=20)
         np.testing.assert_allclose(levels, got, atol=1e-10)
@@ -137,28 +135,28 @@ def test_linearity_in_the_shock():
     model = make_model(cross=cross)
     s1 = np.array([0.02, 0.0, 0.0])
     s2 = np.array([0.0, 0.01, -0.005])
-    r1 = simulate_jirf(model, s1, horizon=15).responses
-    r2 = simulate_jirf(model, s2, horizon=15).responses
-    r_scaled = simulate_jirf(model, 3.0 * s1, horizon=15).responses
-    r_sum = simulate_jirf(model, s1 + s2, horizon=15).responses
+    r1 = simulate_jirf(model, s1, horizon=15)
+    r2 = simulate_jirf(model, s2, horizon=15)
+    r_scaled = simulate_jirf(model, 3.0 * s1, horizon=15)
+    r_sum = simulate_jirf(model, s1 + s2, horizon=15)
     np.testing.assert_allclose(r_scaled, 3.0 * r1, atol=1e-10)
     np.testing.assert_allclose(r_sum, r1 + r2, atol=1e-10)
 
 
 def test_zero_cross_shock_stays_in_asset():
     model = make_model()  # no cross terms, diagonal covariance
-    path = jirf_for_group(model, ShockGroup("solo", ("B",)), horizon=20)
-    assert path.responses.shape == (21, 3)
-    np.testing.assert_array_equal(path.responses[:, 0], np.zeros(21))
-    np.testing.assert_array_equal(path.responses[:, 2], np.zeros(21))
-    assert path.responses[0, 1] == pytest.approx(0.01)  # sqrt(1e-4)
-    assert np.all(path.responses[:, 1] > 0)
+    path = jirf_for_groups(model, [ShockGroup("solo", ("B",))], horizon=20)[0]
+    assert path.shape == (21, 3)
+    np.testing.assert_array_equal(path[:, 0], np.zeros(21))
+    np.testing.assert_array_equal(path[:, 2], np.zeros(21))
+    assert path[0, 1] == pytest.approx(0.01)  # sqrt(1e-4)
+    assert np.all(path[:, 1] > 0)
 
 
 def test_responses_decay_for_stable_model():
     model = make_model()
-    path = jirf_for_group(model, ShockGroup("solo", ("A",)), horizon=60)
-    mags = np.abs(path.responses[:, 0])
+    path = jirf_for_groups(model, [ShockGroup("solo", ("A",))], horizon=60)[0]
+    mags = np.abs(path[:, 0])
     assert mags[60] < 1e-3 * mags[0]
     # tail is dominated by earlier horizons once past the longest lag window
     assert mags[59] < mags[3]
@@ -168,18 +166,17 @@ def test_cross_propagation_direction():
     cross = np.zeros((3, 3, 3))
     cross[0, 2, 0] = 0.4  # C -> A
     model = make_model(cross=cross)
-    path = jirf_for_group(model, ShockGroup("c", ("C",)), horizon=10)
-    assert np.all(path.responses[1:, 0] > 0)     # A responds from horizon 1
-    np.testing.assert_array_equal(path.responses[:, 1], np.zeros(11))
-    assert path.responses[0, 0] == 0.0           # diagonal cov: no impact-day bleed
+    path = jirf_for_groups(model, [ShockGroup("c", ("C",))], horizon=10)[0]
+    assert np.all(path[1:, 0] > 0)     # A responds from horizon 1
+    np.testing.assert_array_equal(path[:, 1], np.zeros(11))
+    assert path[0, 0] == 0.0           # diagonal cov: no impact-day bleed
 
 
 def test_default_group_seed_and_label(two_asset_panel):
     from volnet.hybrid import fit_hybrid
     model = fit_hybrid(two_asset_panel, fixed_lambdas=(1e-3, 1e-3))
-    path = jirf_for_group(model, ShockGroup("grains", ("A", "B")))
-    assert path.shock_group == "grains"
-    assert path.horizons == DEFAULT_HORIZON
+    path = jirf_for_groups(model, [ShockGroup("grains", ("A", "B"))])[0]
+    assert path.shape == (DEFAULT_HORIZON + 1, 2)
 
 
 def test_explosive_model_refused():
@@ -197,11 +194,6 @@ def test_shock_vector_validation():
         simulate_jirf(model, np.array([np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError):
         simulate_jirf(model, np.array([0.01, 0.0, 0.0]), horizon=-1)
-
-
-def test_jirf_path_is_plain_data():
-    path = JirfPath("g", np.zeros((4, 2)))
-    assert path.horizons == 3
 
 
 def test_non_finite_level_names_first_horizon():
@@ -241,7 +233,7 @@ def _stable_models(draw):
 @given(_stable_models(), st.integers(0, 40))
 def test_simulation_matches_deviation_recursion(case, horizon):
     model, coef, history, shock = case
-    got = simulate_jirf(model, shock, horizon).responses
+    got = simulate_jirf(model, shock, horizon)
     want = jirf_deviation_naive(coef, model.lags, shock, horizon)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-14)
     # the system is linear: shocked minus baseline levels from any history

@@ -12,7 +12,6 @@ from volnet.hybrid import HybridModel
 from volnet.jirf import (
     ShockGroup,
     batch_jirf,
-    jirf_for_group,
     jirf_for_groups,
     joint_shock,
     simulate_jirf,
@@ -63,8 +62,8 @@ def test_a_models_slice_does_not_depend_on_its_batch(case, condition_complement,
     np.testing.assert_array_equal(paths[pos], alone)
     for g, group in enumerate(groups):  # and not on the groups traced with it
         np.testing.assert_array_equal(
-            paths[pos, g], jirf_for_group(models[pos], group, horizon,
-                                          condition_complement).responses)
+            paths[pos, g], jirf_for_groups(models[pos], [group], horizon,
+                                           condition_complement)[0])
 
 
 def _failing_models():

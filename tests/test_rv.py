@@ -9,11 +9,12 @@ from scipy.stats import skew
 from volnet.errors import (
     DatesNotIncreasing,
     MissingColumn,
+    PriceInvariantViolation,
     SeriesTooShort,
     UnparseableRow,
     WindowTooSmall,
 )
-from volnet.ingest import OhlcBar, OhlcSeries, align_panel
+from volnet.ingest import OhlcSeries, align_panel, bar_defect
 from volnet.rv import (
     RvPanel,
     YzConfig,
@@ -49,16 +50,16 @@ def test_yz_config_needs_a_finite_positive_annualization(annualization):
 
 
 def test_rogers_satchell_flat_bar_zero():
-    assert rogers_satchell_var(OhlcBar(dt.date(2020, 1, 1), 100, 100, 100, 100)) == 0.0
+    assert rogers_satchell_var(100, 100, 100, 100) == 0.0
 
 
 def test_rogers_satchell_pure_trend_day_zero():
     # open at the low, close at the high: both products vanish
-    assert rogers_satchell_var(OhlcBar(dt.date(2020, 1, 1), 100, 105, 100, 105)) == 0.0
+    assert rogers_satchell_var(100, 105, 100, 105) == 0.0
 
 
 def test_rogers_satchell_reference_value():
-    rs = rogers_satchell_var(OhlcBar(dt.date(2020, 1, 1), 100, 110, 95, 105))
+    rs = rogers_satchell_var(100, 110, 95, 105)
     expected = (np.log(110 / 105) * np.log(110 / 100)
                 + np.log(95 / 105) * np.log(95 / 100))
     assert rs == pytest.approx(expected, rel=1e-12)
@@ -74,7 +75,6 @@ def test_constant_prices_give_exact_zero():
     out = yang_zhang_rv(constant_series(50), YzConfig(window=30))
     assert len(out) == 20
     assert np.all(out.values == 0.0)
-    assert out.n_clamped == 0
 
 
 def test_output_alignment_and_length():
@@ -84,6 +84,46 @@ def test_output_alignment_and_length():
     assert out.dates == s.dates[30:]
     assert np.all(out.values >= 0.0)
     assert np.all(np.isfinite(out.values))
+
+
+def test_rv_refuses_a_bar_that_breaks_the_bar_rule():
+    dates = make_dates(40)
+    base = np.full(40, 100.0)
+    close = base.copy()
+    close[17] = 100.5  # above its high
+    series = OhlcSeries("X", dates, base, base + 0.25, base - 0.25, close)
+    with pytest.raises(PriceInvariantViolation, match="X: high/low does not bracket") as exc:
+        yang_zhang_rv(series, YzConfig(window=30))
+    assert exc.value.date == dates[17]
+
+
+@st.composite
+def valid_bars(draw):
+    """window, then an OhlcSeries of window+1..window+12 bars that pass the bar
+    rule, at a scale from 1e-6 to 1e6, with many opens and closes tied to
+    their high or low and many bars whose high equals their low."""
+    window = draw(st.integers(2, 8))
+    n = draw(st.integers(window + 1, window + 12))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    frac = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    bars = []
+    for _ in range(n):
+        l = scale * 10.0 ** draw(st.sampled_from([0.0]) | st.floats(-1.0, 1.0))
+        h = l * draw(st.sampled_from([1.0]) | st.floats(1.0, 1.5))
+        o, c = (min(max(l + draw(frac) * (h - l), l), h) for _ in range(2))
+        bars.append((o, h, l, c))
+    o, h, l, c = np.array(bars).T
+    return window, OhlcSeries("X", make_dates(n), o, h, l, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_bars())
+def test_rv_is_finite_and_nonnegative_on_bars_that_pass_the_bar_rule(case):
+    # a negative radicand would make np.sqrt warn, which the suite makes an error
+    window, series = case
+    assert bar_defect(series.open, series.high, series.low, series.close) is None
+    values = yang_zhang_rv(series, YzConfig(window=window)).values
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
 
 def test_series_too_short():
@@ -100,7 +140,7 @@ def test_window_loop_oracle():
     for pos, t in enumerate(range(n, 45)):
         o_ret = [np.log(s.open[u] / s.close[u - 1]) for u in range(t - n + 1, t + 1)]
         oc_ret = [np.log(s.close[u] / s.open[u]) for u in range(t - n + 1, t + 1)]
-        rs = [rogers_satchell_var(ohlc_bar(s, u)) for u in range(t - n + 1, t + 1)]
+        rs = [rogers_satchell_var(*ohlc_bar(s, u)) for u in range(t - n + 1, t + 1)]
         rad = np.var(o_ret, ddof=1) + k * np.var(oc_ret, ddof=1) + (1 - k) * np.mean(rs)
         assert out.values[pos] == pytest.approx(np.sqrt(max(rad, 0)) * np.sqrt(252), rel=1e-10)
 
@@ -115,7 +155,7 @@ def test_no_gap_series_drops_overnight_term():
     k = yz_weight(30)
     for pos, t in enumerate(range(30, 60)):
         oc = [np.log(s.close[u] / s.open[u]) for u in range(t - 29, t + 1)]
-        rs = [rogers_satchell_var(ohlc_bar(s, u)) for u in range(t - 29, t + 1)]
+        rs = [rogers_satchell_var(*ohlc_bar(s, u)) for u in range(t - 29, t + 1)]
         expected = np.sqrt(k * np.var(oc, ddof=1) + (1 - k) * np.mean(rs)) * np.sqrt(252)
         assert out.values[pos] == pytest.approx(expected, rel=1e-10)
 
