@@ -33,7 +33,7 @@ from . import bootstrap as boot
 from . import evaluate, ingest, jirf, rv, stationarity, synthetic
 from .config import RunConfig, config_hash, load_config, read_json
 from .errors import InvalidConfig, VolnetError, WindowTooSmall
-from .har import fit_har_panel
+from .har import HarModelSet
 from .hybrid import (
     HORIZON_LABELS,
     fit_hybrid,
@@ -211,7 +211,8 @@ def cmd_forecast(args) -> int:
     train, _ = evaluate.split_train_test(panel, args.split)
     test_start = len(train)
     hybrid_model = fit_hybrid(train, cfg.fit)
-    har_model = fit_har_panel(train, cfg.fit.lags)
+    # the hybrid's own step is the univariate HAR fit of the same rows
+    har_model = HarModelSet(hybrid_model.assets, hybrid_model.own, hybrid_model.lags)
 
     rows = []
     for label, model in (("hybrid", hybrid_model), ("har", har_model)):
@@ -461,7 +462,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"volnet: code=FileNotFound {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         detail = str(exc).replace("\n", " ")
         print(f"volnet: code={type(exc).__name__} {detail}", file=sys.stderr)
         return 1

@@ -103,8 +103,8 @@ def config_from_dict(d: dict) -> RunConfig:
 
 def read_json(path) -> object:
     """The JSON value in the UTF-8 file at path. A key that appears twice in
-    one object raises InvalidConfig naming it, where json.load would keep the
-    last; malformed JSON raises json.JSONDecodeError."""
+    one object, where json.load would keep the last, malformed JSON and bytes
+    that are not UTF-8 raise InvalidConfig naming the path."""
     def unique(pairs: list) -> dict:
         out = {}
         for key, value in pairs:
@@ -112,15 +112,15 @@ def read_json(path) -> object:
                 raise InvalidConfig(f"{path}: key {key!r} appears twice in one object")
             out[key] = value
         return out
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=unique)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        data = read_json(path)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{path}: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InvalidConfig("config root must be a JSON object")
     return config_from_dict(data)

@@ -12,13 +12,13 @@ statistics X'X, X'y and M (`Moments`), and fits it in the units they were
 formed in. Callers form them on columns scaled to unit sample standard
 deviation (scaled, not centered; there is no intercept to absorb centering)
 and map coefficients back: the hybrid estimator reads every cross block's
-Gram off one cross-product of the panel, and cross-validation never sees
-rows either. It reads the cross-products of a basis and a ones column over
-each CV row block (`block_moments`), sums them into each fold's training
-statistics, and takes a design's Gram, its column scales and its validation
-error as bilinear forms of those sums, so each fold forms its scaled Gram
-once for its whole lambda path. A fit then costs only its active-set solves
-on P x P blocks; P = 3(K-1) here.
+Gram off a cross-product of the panel's rows, for the full sample and for
+each CV fold alike. Cross-validation takes per-fold `Moments` too, a
+training and a validation set per fold, so it never sees rows: each fold
+fits its whole lambda path from its one training Gram, and the validation
+error at coefficients g is r'r - 2 g'X'r + g'X'X g of the validation
+statistics. A fit then costs only its active-set solves on P x P blocks;
+P = 3(K-1) here.
 
 With q = (2/M) X'y and G = (2/M) X'X, g is optimal when
 c = q - (G + lam(1-alpha) I) g satisfies the KKT conditions
@@ -89,26 +89,28 @@ class CvResult:
 class Moments:
     """Sufficient statistics of a no-intercept least-squares problem for the
     solver: X'X (P x P), X'y (P) and the row count n, in the units the problem
-    is fitted in."""
+    is fitted in, and y'y, which only a validation error reads (None when it
+    was not formed). A row set may be empty (n = 0); no fit reads one."""
     xtx: np.ndarray
     xty: np.ndarray
     n: int
+    yty: float | None = None
 
     def __post_init__(self):
         P = len(self.xty)
-        if self.xtx.shape != (P, P) or self.n < 1:
-            raise ValueError(f"moments need a {P} x {P} X'X and n >= 1, "
+        if self.xtx.shape != (P, P) or self.n < 0:
+            raise ValueError(f"moments need a {P} x {P} X'X and n >= 0, "
                              f"got {self.xtx.shape} and n = {self.n}")
 
     @classmethod
     def of(cls, X: np.ndarray, y: np.ndarray) -> "Moments":
-        return cls(X.T @ X, X.T @ y, X.shape[0])
+        return cls(X.T @ X, X.T @ y, X.shape[0], float(y @ y))
 
 
 def _column_scales(X: np.ndarray) -> np.ndarray:
     """Sample standard deviation of each column; 1 where it is within rounding
     of 0 (a constant column, whose mean need not round exactly), not finite,
-    or there is one row, as `_fold_scales` gives.
+    or there is one row.
 
     Each column is reduced along its own contiguous copy, so its scale has
     the same bits whichever other columns share the array.
@@ -139,8 +141,11 @@ def fit_elastic_net(stats: Moments, pen: PenaltySpec, tol: float = DEFAULT_TOL,
     the zero solution, the usual result at a large penalty, is certified
     (one iteration) before the Hessian is formed. Hitting max_iter is a soft
     failure: a DidNotConvergeWarning is issued and the last iterate is
-    returned with converged=False.
+    returned with converged=False. Statistics of no rows raise
+    TooFewObservations.
     """
+    if stats.n < 1:
+        raise TooFewObservations("no rows to fit")
     if not (np.isfinite(stats.xtx).all() and np.isfinite(stats.xty).all()):
         raise NonFiniteInput("sufficient statistics contain non-finite values")
     M, P = stats.n, len(stats.xty)
@@ -160,7 +165,9 @@ def fit_elastic_net(stats: Moments, pen: PenaltySpec, tol: float = DEFAULT_TOL,
     active = gamma != 0.0
     if max_iter >= 1 and not active.any() and np.abs(q).max() - thr <= tol:
         return ElasticNetFit(gamma, 1, True)  # the first iteration's check, with c = q
-    H = (2.0 / M) * stats.xtx
+    # C order whatever the layout of xtx, so the products below, and the bits of
+    # the fit, do not depend on it
+    H = np.multiply(2.0 / M, stats.xtx, order="C")
     H.flat[::P + 1] += pen.lam * (1.0 - pen.alpha)  # G + ridge
     sign = np.sign(gamma)  # s_A on the active set, 0 elsewhere
     converged = False
@@ -273,14 +280,14 @@ def default_lambda_grid(stats: Moments, alpha: float = 0.5, size: int = 60,
 
 
 def block_moments(rows: np.ndarray, n_folds: int) -> np.ndarray:
-    """Cross-products of W = [rows', 1] over each CV row block, the input of
-    `cross_validate_lambda`.
+    """Cross-products of W = [rows', 1] over each CV row block, which a fold's
+    statistics are summed from.
 
-    `rows` is Q x M, one variable per row (a basis the CV designs and targets
-    are linear in). The M observations are cut into `n_folds` consecutive
-    blocks as np.array_split cuts them; block f gets the (Q+1) x (Q+1)
-    product W_f'W_f, whose last row holds the block's column sums and its row
-    count. Raises TooFewObservations when a block would be empty.
+    `rows` is Q x M, one variable per row. The M observations are cut into
+    `n_folds` consecutive blocks as np.array_split cuts them; block f gets the
+    (Q+1) x (Q+1) product W_f'W_f, whose last row holds the block's column
+    sums and its row count. Raises TooFewObservations when a block would be
+    empty.
     """
     Q, M = rows.shape
     if M < n_folds:
@@ -294,90 +301,50 @@ def block_moments(rows: np.ndarray, n_folds: int) -> np.ndarray:
     return out
 
 
-def _fold_scales(C: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Sample standard deviation of each column of W @ basis over the rows
-    whose block products sum to C; 1 where it is within rounding of 0 or
-    there is one row, as `_column_scales` gives for a constant column."""
-    n = C[-1, -1]
-    if n < 2:
-        return np.ones(basis.shape[1])
-    CB = C @ basis
-    sq = np.einsum("ij,ij->j", basis, CB)
-    dev = np.maximum(sq - CB[-1] ** 2 / n, 0.0)  # CB[-1]: the columns' sums
-    return np.where(dev > n * np.finfo(float).eps * sq, np.sqrt(dev / (n - 1)), 1.0)
-
-
-def cross_validate_lambda(blocks: np.ndarray, design: np.ndarray, target: np.ndarray,
+def cross_validate_lambda(train: list[Moments], val: list[Moments],
                           grid: np.ndarray, alpha: float = 0.5) -> CvResult:
-    """Forward-chaining CV: fold k validates on block k, trains on blocks < k.
-
-    The rows are never seen: `blocks` holds each row block's cross-product of
-    W = [basis rows, 1] (`block_moments`), and the design and target are
-    linear in W, X = W @ design (M x P) and y = W @ target. The last row of
-    `design` is then each column's shift from its basis part, so a design that
-    is the basis plus its means is read off a centred basis. A fold's training
-    statistics are the sum of the blocks before it, and every quantity a fold
-    needs is a bilinear form of those sums or of its own block: the Gram X'X
-    and X'y, the column scales, and the validation error
-    r'r - 2 g'X'r + g'X'X g at coefficients g.
+    """Forward-chaining CV: fold f fits on `train[f]`, the statistics of the
+    rows before its validation block, and is scored on `val[f]`, those of the
+    block, which carry y'y. The caller forms both in the units it fits in,
+    the training rows' column scales. The rows are never seen: the
+    validation error at coefficients g is r'r - 2 g'X'r + g'X'X g, and the
+    fold boundaries follow from the row counts of consecutive blocks.
 
     Selection applies the one-standard-error rule in the sparse direction:
     among lam whose mean validation MSE is within one SE of the minimum, the
-    LARGEST lam wins. Each fold scales its columns by the standard deviations
-    of its training rows only, computed from the basis part of the design
-    (the shift does not move a spread), and fits every lam from the scaled
-    Gram in descending order, warm-started down the path.
+    LARGEST lam wins. Each fold fits every lam from its training statistics
+    in descending order, warm-started down the path.
     """
-    blocks = np.asarray(blocks, dtype=float)
-    design = np.asarray(design, dtype=float)
-    target = np.asarray(target, dtype=float)
-    n_folds, P = len(blocks), design.shape[1]
-    if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(design))
-            and np.all(np.isfinite(target))):
-        raise NonFiniteInput("block moments, design or target contain non-finite values")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise GridEmpty("empty lambda grid")
-    if n_folds < 2:
-        raise ValueError(f"n_folds must be >= 2, got {n_folds}")
-    counts = blocks[:, -1, -1]
-    M = int(counts.sum())
-    if np.any(counts < 1):
+    if not val or len(train) != len(val):
+        raise ValueError(f"need one training and one validation set per fold and at least "
+                         f"one fold, got {len(train)} and {len(val)}")
+    if not (all(np.isfinite(m.xtx).all() and np.isfinite(m.xty).all() for m in (*train, *val))
+            and np.isfinite(np.array([v.yty for v in val], dtype=float)).all()):
+        raise NonFiniteInput("fold statistics are not finite or a validation set has no y'y")
+    n_folds, P = len(val) + 1, len(train[0].xty)
+    edges = np.cumsum([0, train[0].n, *(v.n for v in val)]).tolist()
+    M = edges[-1]
+    if any(m.n < 1 for m in (*train, *val)):
         raise TooFewObservations(f"{M} rows cannot form {n_folds} folds")
     if M < n_folds * (P + 5):
         warnings.warn(f"only {M} rows for {n_folds}-fold CV with {P} features; "
                       "validation MSE will be noisy", UserWarning, stacklevel=2)
 
-    basis = design.copy()
-    basis[-1] = 0.0
     order = np.argsort(grid)[::-1]  # descending: warm starts shrink toward OLS
     fold_mse = np.empty((n_folds - 1, grid.size))
-    train = blocks[0].copy()
-    for f in range(n_folds - 1):
-        scale = _fold_scales(train, basis)
-        cd = train @ design
-        stats = Moments((design.T @ cd) / np.outer(scale, scale), (cd.T @ target) / scale,
-                        int(train[-1, -1]))
-        val = blocks[f + 1]
-        vd = val @ design
-        v_xx = (design.T @ vd) / np.outer(scale, scale)
-        v_xr = (vd.T @ target) / scale
-        v_rr = float(target @ val @ target)
+    for f, (stats, v) in enumerate(zip(train, val)):
         warm = None  # coefficients in scaled units
         for gi in order:
             fit = fit_elastic_net(stats, PenaltySpec(grid[gi], alpha), warm_start=warm)
             g = warm = fit.coef
-            sse = v_rr - 2.0 * float(g @ v_xr) + float(g @ v_xx @ g)
-            fold_mse[f, gi] = max(sse, 0.0) / val[-1, -1]
-        train += val
+            sse = v.yty - 2.0 * float(g @ v.xty) + float(g @ v.xtx @ g)
+            fold_mse[f, gi] = max(sse, 0.0) / v.n
 
     mean_mse = fold_mse.mean(axis=0)
     best = int(np.argmin(mean_mse))
-    if fold_mse.shape[0] > 1:
-        se = float(np.std(fold_mse[:, best], ddof=1)) / np.sqrt(fold_mse.shape[0])
-    else:
-        se = 0.0
-    eligible = grid[mean_mse <= mean_mse[best] + se]
-    selected = float(np.max(eligible))
-    edges = np.cumsum(np.append(0, counts)).astype(int).tolist()
+    se = float(np.std(fold_mse[:, best], ddof=1)) / np.sqrt(n_folds - 1) if n_folds > 2 else 0.0
+    selected = float(np.max(grid[mean_mse <= mean_mse[best] + se]))
     return CvResult(grid, mean_mse, selected, tuple(zip(edges[:-1], edges[1:])))

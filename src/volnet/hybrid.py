@@ -89,6 +89,35 @@ class HybridModel(HarStep):
             raise ValueError("cross has nonzero self entries")
 
 
+def _cross_moments(C: np.ndarray, sums: np.ndarray | None, n: int, scale: np.ndarray,
+                   mu: np.ndarray, B: np.ndarray, kc: np.ndarray) -> list[Moments]:
+    """Every asset's cross-fit statistics over a set of the panel's rows, read
+    off the set's cross-product C of Z_c, its column sums and row count n.
+
+    Asset i's design X is its cross columns kc[i] of Z_c plus their full-sample
+    means mu, and its residual r is Z_c B_i, so over the set, with sums s,
+    X'X = C_cc + n mu mu' + s_c mu' + mu s_c', X'r = C_c B_i + mu s'B_i and
+    r'r = B_i'C B_i; X'X and X'r are divided by the column scales. The full
+    sample passes sums=None: its sums are zero and its fit reads no r'r, so
+    neither is formed. One gather reads every asset's blocks, C-ordered.
+    """
+    P, K = len(scale), len(kc)
+    G = C[:P, :P] + n * np.outer(mu, mu)
+    if sums is None:
+        Xr, rr = C[:P] @ B, [None] * K
+    else:
+        sm = np.outer(sums[:P], mu)
+        G += sm + sm.T
+        CB = C @ B
+        Xr = CB[:P] + np.outer(mu, sums @ B)
+        rr = np.einsum("ji,ji->i", B, CB).tolist()
+    G /= np.outer(scale, scale)
+    Xr /= scale[:, None]
+    G_blocks = G[kc[:, :, None], kc[:, None, :]]  # K x (P-3) x (P-3)
+    Xr_blocks = Xr[kc, np.arange(K)[:, None]]     # K x (P-3)
+    return [Moments(G_blocks[i], Xr_blocks[i], n, rr[i]) for i in range(K)]
+
+
 def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
                fixed_lambdas: Sequence[float] | None = None) -> HybridModel:
     """Fit the two-step model on a full panel.
@@ -101,16 +130,15 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     panel's lag features F (M x 3K, source-major, daily/weekly/monthly) and
     targets Y, Z = [F, Y] (`har.panel_moments`). Each asset's HAR OLS comes
     from its own block of that product (`har.own_ols`). Asset i's cross
-    design X is F without its own three columns; the elastic net sees it only
-    through its Gram X'X = S_cc + M mu mu' and X'r = S_cy - S_co beta (the
-    OLS residual r has mean zero), both divided by the column scales
-    sqrt(diag S / (M - 1)).
-    Coefficients are mapped back to the original feature scale here. The
-    final residuals are Z_c B for a 4K x K matrix B, so their covariance is
-    B'SB / (M - 1). Cross-validation reads moments too: the cross-products of
-    [Z_c, 1] over each CV row block are formed once per fit
-    (`elastic_net.block_moments`), and asset i's folds see X as its cross
-    columns of Z_c shifted by their means, and r as Z_c times column i of B.
+    design is F without its own three columns and its target the OLS
+    residual, Z_c times column i of a 4K x K matrix B; the elastic net sees
+    both only through `_cross_moments`. The final fit reads S, with columns
+    scaled by sqrt(diag S / (M - 1)). CV reads the cross-products of
+    [Z_c, 1] over each CV row block (`elastic_net.block_moments`): a fold
+    trains on the sum of the blocks before it, scaled by those rows' own
+    spread, and validates on its block at the training scales. The
+    coefficients, mapped back to the feature scale, join B; the final
+    residuals are Z_c B, with covariance B'SB / (M - 1).
     """
     K = rv.n_assets
     pm = panel_moments(rv.values, cfg.lags)
@@ -118,37 +146,38 @@ def fit_hybrid(rv: RvPanel, cfg: FitConfig = FitConfig(),
     M, P, S, k = pm.n_rows, 3 * K, pm.S, np.arange(K)
     mu = pm.mean[:P]
     scale = np.sqrt(np.diagonal(S)[:P] / (M - 1))  # nonzero: own_ols rejects constant features
-
     B = residual_map(coef[:, 1:])  # the cross coefficients join it after the fits
-    Xr = (S[:P] @ B) / scale[:, None]  # column i: X'r for asset i's OLS residual, scaled
-    G = (S[:P, :P] + M * np.outer(mu, mu)) / np.outer(scale, scale)
-
-    # row i: asset i's cross columns; one gather reads every asset's Gram block
-    # and right-hand side
+    # row i: asset i's cross columns
     kc_all = np.nonzero(np.arange(P) // 3 != k[:, None])[1].reshape(K, P - 3)
-    G_blocks = G[kc_all[:, :, None], kc_all[:, None, :]]  # K x (P-3) x (P-3)
-    Xr_blocks = Xr[kc_all, k[:, None]]                    # K x (P-3)
+    full = _cross_moments(S, None, M, scale, mu, B, kc_all)
+
     if fixed_lambdas is None:
+        train, val = [], []  # per fold, every asset's statistics
         blocks = block_moments(pm.centred, cfg.cv_folds)
+        C, Q = blocks[0].copy(), 4 * K
+        for block in blocks[1:]:
+            # the training rows' spread, 1 within rounding of 0 or on one row
+            n, sq = int(C[Q, Q]), np.diagonal(C)[:P]
+            dev = np.maximum(sq - C[Q, :P] ** 2 / n, 0.0)
+            spread = (np.where(dev > n * np.finfo(float).eps * sq, np.sqrt(dev / (n - 1)), 1.0)
+                      if n > 1 else np.ones(P))
+            train.append(_cross_moments(C[:Q, :Q], C[Q, :Q], n, spread, mu, B, kc_all))
+            val.append(_cross_moments(block[:Q, :Q], block[Q, :Q], int(block[Q, Q]), spread,
+                                      mu, B, kc_all))
+            C += block
 
     coefs = np.empty((K, P - 3))  # row i: asset i's cross fit, in scaled units
     lambdas = np.zeros(K)
     for i in range(K):
-        stats = Moments(G_blocks[i], Xr_blocks[i], M)
         if fixed_lambdas is not None:
             lam = float(fixed_lambdas[i])
         else:
             grid = (np.asarray(cfg.lambda_grid, dtype=float) if cfg.lambda_grid is not None
-                    else default_lambda_grid(stats, cfg.alpha, cfg.grid_size, cfg.grid_ratio))
-            kc = kc_all[i]
-            design = np.zeros((4 * K + 1, P - 3))  # [Z_c, 1] -> X: the columns, then the means
-            design[kc, np.arange(P - 3)] = 1.0
-            design[-1] = mu[kc]
-            target = np.append(B[:, i], 0.0)  # the OLS residual map: B has no cross terms yet
-            cv = cross_validate_lambda(blocks, design, target, grid, cfg.alpha)
-            lam = cv.selected_lambda
+                    else default_lambda_grid(full[i], cfg.alpha, cfg.grid_size, cfg.grid_ratio))
+            lam = cross_validate_lambda([t[i] for t in train], [v[i] for v in val], grid,
+                                        cfg.alpha).selected_lambda
         lambdas[i] = lam
-        coefs[i] = fit_elastic_net(stats, PenaltySpec(lam, cfg.alpha)).coef
+        coefs[i] = fit_elastic_net(full[i], PenaltySpec(lam, cfg.alpha)).coef
 
     coefs /= scale[kc_all]
     cross = np.zeros((K, K, 3))

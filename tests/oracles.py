@@ -3,9 +3,10 @@
 The elastic-net oracle runs projected gradient on the positive/negative split
 of the coefficients, OLS runs through explicit normal equations, and
 quantiles are interpolated by hand on a sorted copy. Only the row-based
-cross-validation calls volnet's solver: it fits each fold's scaled rows, so
-it checks the block-moment arithmetic around the solver in
-`cross_validate_lambda`, not the solver itself. The solver's own loop has a
+cross-validation calls volnet's solver: it fits each fold's scaled rows and
+scores the residual rows, so it checks the moment arithmetic around the
+solver (`cross_validate_lambda`'s validation error, `fit_hybrid`'s fold
+statistics), not the solver itself. The solver's own loop has a
 reference here too, `feature_sign_search`: the same iteration written
 plainly, which the package's faster loop must match bit for bit.
 """
@@ -193,15 +194,28 @@ def row_block_moments(X: np.ndarray, y: np.ndarray, n_folds: int) -> np.ndarray:
     return np.array([W[b].T @ W[b] for b in np.array_split(np.arange(len(y)), n_folds)])
 
 
-def cross_validate_via_blocks(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
-                              alpha: float = 0.5, n_folds: int = 5, **kw) -> CvResult:
-    """`cross_validate_lambda` on the design X and target y, through the
-    [X, y, 1] block products: X is the basis' first P columns, y the next."""
-    P = X.shape[1]
-    target = np.zeros(P + 2)
-    target[P] = 1.0
-    return cross_validate_lambda(row_block_moments(X, y, n_folds), np.eye(P + 2, P), target,
-                                 grid, alpha, **kw)
+def row_fold_moments(X: np.ndarray, y: np.ndarray,
+                     n_folds: int) -> tuple[list[Moments], list[Moments]]:
+    """Each forward-chaining fold's training and validation `Moments`, formed
+    from the rows of X and y: fold f trains on the np.array_split blocks
+    before block f + 1 and validates on that block, both with the columns
+    scaled by the training rows' standard deviations (`_column_scales`). An
+    empty block gives the statistics of no rows."""
+    sizes = [len(b) for b in np.array_split(np.arange(len(y)), n_folds)]
+    edges = np.cumsum([0, *sizes])
+    train, val = [], []
+    for lo, hi in zip(edges[1:-1], edges[2:]):
+        scale = _column_scales(X[:lo])
+        train.append(Moments.of(X[:lo] / scale, y[:lo]))
+        val.append(Moments.of(X[lo:hi] / scale, y[lo:hi]))
+    return train, val
+
+
+def cross_validate_via_moments(X: np.ndarray, y: np.ndarray, grid: np.ndarray,
+                               alpha: float = 0.5, n_folds: int = 5) -> CvResult:
+    """`cross_validate_lambda` on the design X and target y, through each
+    fold's `Moments` (`row_fold_moments`)."""
+    return cross_validate_lambda(*row_fold_moments(X, y, n_folds), grid, alpha)
 
 
 def soft_threshold(z: float, t: float) -> float:

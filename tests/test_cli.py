@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volnet import cli, rv
+from volnet import cli, har, hybrid, rv
 from volnet.cli import build_parser, main
 from volnet.config import config_from_dict, config_hash, load_config
 from volnet.errors import InvalidConfig
@@ -291,6 +291,19 @@ def test_forecast_output(workdir):
     assert [float(line.split(",")[4]) for line in lines[1:]] == want
 
 
+def test_forecast_fits_the_training_rows_once(workdir, tmp_path, monkeypatch):
+    # the univariate HAR is the hybrid's own step, not a second OLS of the rows
+    calls = []
+    real = har.own_ols
+    for mod in (har, hybrid):
+        monkeypatch.setattr(mod, "own_ols", lambda *a: calls.append(1) or real(*a))
+    out = tmp_path / "forecast.csv"
+    assert main(["forecast", "--rv", str(workdir["rv"]), "--config", str(workdir["config"]),
+                 "--out", str(out)]) == 0
+    assert calls == [1]
+    assert out.read_bytes() == workdir["forecast"].read_bytes()
+
+
 def test_report_bundle(workdir):
     rep = workdir["report"]
     summary = json.loads((rep / "report.json").read_text())
@@ -462,7 +475,8 @@ def test_malformed_model_json(workdir, tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["network", "--model", str(broken),
                  "--out", str(tmp_path / "n.csv")]) == 1
-    assert "volnet: code=JSONDecodeError" in capsys.readouterr().err
+    assert (f"volnet: code=InvalidConfig {broken}: Expecting property name"
+            in capsys.readouterr().err)
     broken.write_text("[]")
     assert main(["network", "--model", str(broken),
                  "--out", str(tmp_path / "n.csv")]) == 1
@@ -492,6 +506,19 @@ def test_a_key_written_twice_in_a_json_file_is_refused(workdir, tmp_path, capsys
     assert main(command(workdir, str(bad)) + ["--out", str(out)]) == 1
     assert (f"volnet: code=InvalidConfig {bad}: key {key!r} appears twice in one object"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_KEY_CASES))
+@pytest.mark.parametrize("text", [b"{bad", b'{"a": "\xff"}'], ids=["malformed", "not-utf-8"])
+def test_an_unreadable_json_file_is_invalid_config_naming_it(workdir, tmp_path, capsys, kind,
+                                                            text):
+    command = REPEATED_KEY_CASES[kind][2]
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(command(workdir, str(bad)) + ["--out", str(out)]) == 1
+    assert f"volnet: code=InvalidConfig {bad}: " in capsys.readouterr().err
     assert not out.exists()
 
 

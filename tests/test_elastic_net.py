@@ -33,12 +33,13 @@ from volnet.har import fit_har_ols, lag_means
 from conftest import planted_markets
 from oracles import (
     cross_validate_rows,
-    cross_validate_via_blocks,
+    cross_validate_via_moments,
     enet_objective,
     enet_projected_gradient,
     feature_sign_search,
     feature_sign_step_segment_search,
     row_block_moments,
+    row_fold_moments,
     soft_threshold,
 )
 
@@ -247,7 +248,7 @@ def test_default_grid_shape():
 
 def test_cv_single_lambda_selected():
     X, y = random_problem(29, M=100, P=3)
-    res = cross_validate_via_blocks(X, y, np.array([0.07]), n_folds=4)
+    res = cross_validate_via_moments(X, y, np.array([0.07]), n_folds=4)
     assert res.selected_lambda == 0.07
     assert res.mean_val_mse.shape == (1,)
     assert np.all(np.isfinite(res.mean_val_mse))
@@ -258,14 +259,14 @@ def test_cv_pure_noise_selects_null_model():
     X = rng.standard_normal((400, 40))
     y = rng.standard_normal(400)
     grid = default_lambda_grid(scaled_moments(X, y)[0], alpha=0.5)
-    res = cross_validate_via_blocks(X, y, grid, alpha=0.5, n_folds=5)
+    res = cross_validate_via_moments(X, y, grid, alpha=0.5, n_folds=5)
     full = scaled_fit(X, y, PenaltySpec(res.selected_lambda, 0.5))
     assert np.mean(full.coef == 0.0) >= 0.95
 
 
 def test_cv_fold_structure_forward_chaining():
     X, y = random_problem(37, M=103, P=3)
-    res = cross_validate_via_blocks(X, y, np.array([0.1, 0.01]), n_folds=5)
+    res = cross_validate_via_moments(X, y, np.array([0.1, 0.01]), n_folds=5)
     bounds = res.fold_boundaries
     assert bounds[0][0] == 0
     assert bounds[-1][1] == 103
@@ -276,12 +277,23 @@ def test_cv_fold_structure_forward_chaining():
 
 def test_cv_errors_and_warning():
     X, y = random_problem(41, M=40, P=5)
+    train, val = row_fold_moments(X, y, 5)
     with pytest.raises(GridEmpty):
-        cross_validate_via_blocks(X, y, np.array([]), n_folds=5)
-    with pytest.raises(TooFewObservations):
-        cross_validate_via_blocks(X[:4], y[:4], np.array([0.1]), n_folds=5)
+        cross_validate_lambda(train, val, np.array([]))
+    with pytest.raises(TooFewObservations, match="4 rows cannot form 5 folds"):
+        cross_validate_via_moments(X[:4], y[:4], np.array([0.1]), n_folds=5)
+    with pytest.raises(ValueError, match="one training and one validation set per fold"):
+        cross_validate_lambda(train[:-1], val, np.array([0.1]))
+    with pytest.raises(ValueError, match="one training and one validation set per fold"):
+        cross_validate_lambda([], [], np.array([0.1]))
+    with pytest.raises(NonFiniteInput, match="a validation set has no y'y"):
+        cross_validate_lambda(train, [dataclasses.replace(v, yty=None) for v in val],
+                              np.array([0.1]))
+    with pytest.raises(NonFiniteInput):
+        cross_validate_lambda(train, [*val[:-1], dataclasses.replace(val[-1], yty=np.inf)],
+                              np.array([0.1]))
     with pytest.warns(UserWarning, match="noisy"):
-        cross_validate_via_blocks(X, y, np.array([0.1]), n_folds=5)
+        cross_validate_lambda(train, val, np.array([0.1]))
 
 
 def test_cv_keeps_signal_feature():
@@ -289,7 +301,7 @@ def test_cv_keeps_signal_feature():
     X = rng.standard_normal((400, 6))
     y = 1.5 * X[:, 2] + 0.2 * rng.standard_normal(400)
     grid = default_lambda_grid(scaled_moments(X, y)[0], alpha=0.5)
-    res = cross_validate_via_blocks(X, y, grid, alpha=0.5, n_folds=5)
+    res = cross_validate_via_moments(X, y, grid, alpha=0.5, n_folds=5)
     full = scaled_fit(X, y, PenaltySpec(res.selected_lambda, 0.5))
     assert full.coef[2] > 0.5
     assert res.selected_lambda in set(grid)
@@ -298,8 +310,8 @@ def test_cv_keeps_signal_feature():
 def test_cv_deterministic():
     X, y = random_problem(47, M=120, P=4)
     grid = default_lambda_grid(scaled_moments(X, y)[0])
-    a = cross_validate_via_blocks(X, y, grid)
-    b = cross_validate_via_blocks(X, y, grid)
+    a = cross_validate_via_moments(X, y, grid)
+    b = cross_validate_via_moments(X, y, grid)
     assert a.selected_lambda == b.selected_lambda
     np.testing.assert_array_equal(a.mean_val_mse, b.mean_val_mse)
 
@@ -433,19 +445,19 @@ def test_per_fold_cv_matches_naive_per_lambda_fits(seed, P, n_folds, alpha, size
     y = X @ (rng.standard_normal(P) * (rng.random(P) < 0.6) / np.std(X, axis=0)) \
         + rng.standard_normal(M)
     grid = default_lambda_grid(scaled_moments(X, y)[0], alpha, size=size, ratio=1e-3)
-    res = cross_validate_via_blocks(X, y, grid, alpha, n_folds)
+    res = cross_validate_via_moments(X, y, grid, alpha, n_folds)
     want, selected = _cv_naive(X, y, grid, alpha, n_folds)
     np.testing.assert_allclose(res.mean_val_mse, want, rtol=1e-10, atol=0)
     assert res.selected_lambda == selected
 
 
 def test_cv_fits_each_fold_from_its_moments_as_from_its_scaled_design():
-    # each fold's Gram, scales and validation error are bilinear forms of the
-    # block products; the row-based CV forms them from the scaled rows, and
-    # both fit the grid in descending order, warm-started down the path
+    # each fold's validation error is a bilinear form of its statistics; the
+    # row-based CV takes it from the residual rows, and both fit the grid in
+    # descending order, warm-started down the path
     X, y = random_problem(61, M=150, P=6)
     grid = default_lambda_grid(scaled_moments(X, y)[0], 0.5, size=12, ratio=1e-3)
-    res = cross_validate_via_blocks(X, y, grid, 0.5, n_folds=4)
+    res = cross_validate_via_moments(X, y, grid, 0.5, n_folds=4)
     want = cross_validate_rows(X, y, grid, 0.5, n_folds=4)
     np.testing.assert_allclose(res.mean_val_mse, want.mean_val_mse, rtol=1e-12, atol=0)
     assert res.selected_lambda == want.selected_lambda
@@ -469,11 +481,11 @@ def test_cv_entry_refuses_an_empty_block_before_reading_it(monkeypatch):
     monkeypatch.setattr(elastic_net, "fit_elastic_net", lambda *a, **k: fits.append(a))
     for n_folds in (8, 12):
         with pytest.raises(TooFewObservations, match=f"7 rows cannot form {n_folds} folds"):
-            cross_validate_via_blocks(X, y, np.array([0.1]), n_folds=n_folds)
-    blocks = row_block_moments(X, y, 3)
-    blocks[1] = 0.0
+            cross_validate_via_moments(X, y, np.array([0.1]), n_folds=n_folds)
+    train, val = row_fold_moments(X, y, 3)
+    val[0] = Moments(np.zeros((2, 2)), np.zeros(2), 0, 0.0)
     with pytest.raises(TooFewObservations):
-        cross_validate_lambda(blocks, np.eye(4, 2), np.eye(4)[2], np.array([0.1]))
+        cross_validate_lambda(train, val, np.array([0.1]))
     assert fits == []
 
 
@@ -493,10 +505,29 @@ def test_cv_entry_scales_a_column_without_spread_by_one(case):
     grid = np.array([0.5, 0.05, 0.005])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # few rows per feature: noisy
-        res = cross_validate_via_blocks(X, y, grid, 0.5, n_folds)
+        res = cross_validate_via_moments(X, y, grid, 0.5, n_folds)
         want = cross_validate_rows(X, y, grid, 0.5, n_folds)
     np.testing.assert_allclose(res.mean_val_mse, want.mean_val_mse, rtol=1e-12, atol=0)
     assert res.selected_lambda == want.selected_lambda
+
+
+def test_fit_bits_do_not_depend_on_the_layout_of_the_gram():
+    # an F-ordered or strided X'X holds the numbers of a C-ordered one; the
+    # solver forms its Hessian C-ordered, so every layout fits the same bits
+    rng = np.random.default_rng(20261022)
+    for _ in range(100):
+        P = int(rng.integers(2, 16))
+        X, y = random_problem(int(rng.integers(2**32)), M=int(rng.integers(P + 5, 200)), P=P)
+        stats = scaled_moments(X, y)[0]
+        pen = PenaltySpec(lambda_max(stats, 0.5) * rng.uniform(1e-3, 0.5), 0.5)
+        want = fit_elastic_net(stats, pen)
+        big = np.zeros((2 * P, 2 * P))
+        big[::2, ::2] = stats.xtx
+        for xtx in (np.asfortranarray(stats.xtx), big[::2, ::2],
+                    np.asfortranarray(big)[::2, ::2]):
+            got = fit_elastic_net(Moments(xtx, stats.xty, stats.n), pen)
+            assert got.coef.tobytes() == want.coef.tobytes()
+            assert got.n_sweeps == want.n_sweeps
 
 
 def test_moments_entry_checks_its_inputs():
@@ -506,6 +537,10 @@ def test_moments_entry_checks_its_inputs():
         fit_elastic_net(Moments(stats.xtx, np.full(4, np.inf), stats.n), PenaltySpec(0.1))
     with pytest.raises(ValueError, match="moments need"):
         Moments(stats.xtx[:2], stats.xty, stats.n)
+    with pytest.raises(ValueError, match="moments need"):
+        Moments(stats.xtx, stats.xty, -1)
+    with pytest.raises(TooFewObservations, match="no rows to fit"):
+        fit_elastic_net(Moments(np.zeros((4, 4)), np.zeros(4), 0), PenaltySpec(0.1))
     empty = fit_elastic_net(Moments(np.empty((0, 0)), np.empty(0), 2), PenaltySpec(0.1))
     assert empty.coef.shape == (0,) and empty.converged
 

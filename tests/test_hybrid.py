@@ -382,7 +382,7 @@ def cv_fit_and_row_oracle(panel, cfg, monkeypatch):
     real = hybrid.cross_validate_lambda
 
     def record(*args):
-        seen.append((args[3], real(*args)))  # (grid, result)
+        seen.append((args[2], real(*args)))  # (grid, result)
         return seen[-1][1]
 
     monkeypatch.setattr(hybrid, "cross_validate_lambda", record)
